@@ -9,6 +9,7 @@ mutably across threads.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,7 +22,7 @@ __all__ = [
     "dropout", "exp", "log", "absolute", "neg", "scale",
     "scalar_mul", "scalar_add", "sum_all",
     "take_rows", "slice_rows", "slice_cols", "pick_cols", "mask_rows",
-    "backward", "grad_check",
+    "lstm_scan", "backward", "grad_check",
 ]
 
 
@@ -37,14 +38,24 @@ class Tensor:
     The gradient buffer reads as all-zero until something accumulates into it.
     """
 
-    __slots__ = ("values", "_grad", "requires_grad", "tape", "tape_id")
+    __slots__ = ("values", "_grad", "requires_grad", "_tape", "tape_id")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self._grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.tape: Tape | None = None
+        self._tape: weakref.ref[Tape] | None = None
         self.tape_id: int | None = None
+
+    @property
+    def tape(self) -> Tape | None:
+        """The tape that recorded this tensor, or None once that tape is freed.
+
+        Held weakly: the tape owns its nodes and so their outputs, and a strong
+        reference back would make every tape a cycle that only a full garbage
+        collection frees.
+        """
+        return None if self._tape is None else self._tape()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -79,7 +90,9 @@ def constant(values) -> Tensor:
 
 
 def parameter(values) -> Tensor:
-    return Tensor(np.array(values, dtype=np.float64), requires_grad=True)
+    """A trainable leaf. A float64 array is adopted, not copied, so the caller
+    hands it over (initializers pass freshly drawn arrays)."""
+    return Tensor(values, requires_grad=True)
 
 
 def zeros(shape) -> Tensor:
@@ -146,7 +159,7 @@ def _record(name: str, out_values: np.ndarray, inputs: tuple[Tensor, ...],
     if _TAPE_STACK and any(i.requires_grad for i in inputs):
         tape = _TAPE_STACK[-1]
         out.requires_grad = True
-        out.tape = tape
+        out._tape = weakref.ref(tape)
         out.tape_id = len(tape.nodes)
         tape.nodes.append(_Node(name, inputs, out, backward))
     return out
@@ -505,13 +518,149 @@ def mask_rows(x: Tensor, col: np.ndarray) -> Tensor:
     return _record("mask_rows", x.values * col, (x,), bk)
 
 
+def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, steps: int,
+              mask: np.ndarray | None = None, reverse: bool = False,
+              proj: Tensor | None = None, force: np.ndarray | None = None,
+              gold: np.ndarray | None = None) -> Tensor:
+    """A whole LSTM scan over ``steps`` timesteps, recorded as one operation.
+
+    ``x`` is the non-recurrent input of every step, time-major: row
+    ``t * B + b`` is batch row b at step t. Its projection through ``w_x`` is
+    one GEMM over all ``T*B`` rows before the scan starts. Weights are
+    gate-stacked (input, forget, cell, output) as in ``encoder.lstm_step``.
+
+    Without ``proj`` the result is the hidden states ``[T*B, h]``. A [B, T]
+    bool ``mask`` multiplies state and output by 0 at masked steps, so the scan
+    holds its state at zero there; ``reverse`` scans from the last step down.
+
+    With ``proj`` ([K, h]) the scan is a decoder. Step t also reads a
+    previous-label vector through the first K columns of ``w_x`` and emits
+    ``y_t = softmax(h_t @ proj.T)``. That vector is zero at t = 0 and
+    ``y_{t-1}`` after, except in the rows where ``force[t]`` ([T, B] bool) is
+    set, which read the gold row ``gold[(t-1)*B + b]`` ([T*B, K]) instead. The
+    result is ``[T*B, h + K]``: the hidden states, then the distributions.
+
+    Backward is hand-written BPTT: the gradients of ``x``, ``w_x``, ``w_h``,
+    ``b`` and ``proj`` each come from one product over the whole sequence.
+    """
+    xv, wx, wh, bv = x.values, w_x.values, w_h.values, b.values
+    hid = wh.shape[-1]
+    K = 0 if proj is None else proj.values.shape[0]
+    rows = xv.shape[0] if xv.ndim == 2 else 0
+    if (steps < 1 or rows < steps or rows % steps or wh.shape != (4 * hid, hid)
+            or wx.shape != (4 * hid, K + xv.shape[1]) or bv.shape != (4 * hid,)
+            or (proj is not None and proj.values.shape != (K, hid))):
+        raise ShapeError(f"lstm_scan: x {xv.shape} over {steps} steps does not match "
+                         f"w_x {wx.shape}, w_h {wh.shape}, b {bv.shape}"
+                         + ("" if proj is None else f", proj {proj.shape}"))
+    T, B = steps, rows // steps
+    if mask is not None and mask.shape != (B, T):
+        raise ShapeError(f"lstm_scan: mask {mask.shape} is not [B, T] = {(B, T)}")
+    if force is not None and (K == 0 or force.shape != (T, B) or gold is None
+                              or gold.shape != (T * B, K)):
+        raise ShapeError("lstm_scan: teacher forcing needs proj, force [T, B] and gold [T*B, K]")
+    keep = None if mask is None else mask.T[:, :, None].astype(np.float64)
+    gold_t = None if force is None else gold.reshape(T, B, K)
+    w_in, w_y = wx[:, K:], wx[:, :K]
+    i_f, cell, out_gate = slice(0, 2 * hid), slice(2 * hid, 3 * hid), slice(3 * hid, None)
+
+    gx = (xv @ w_in.T + bv).reshape(T, B, 4 * hid)
+    acts = np.empty((T, B, 4 * hid))       # gate activations
+    c_prev = np.empty((T, B, hid))
+    h_prev = np.empty((T, B, hid))
+    tanh_c = np.empty((T, B, hid))
+    hs = np.empty((T, B, hid))
+    ys = np.empty((T, B, K))
+    prevs = np.zeros((T, B, K))            # previous-label vectors read
+    h = np.zeros((B, hid))
+    c = np.zeros((B, hid))
+    order = range(T - 1, -1, -1) if reverse else range(T)
+    for t in order:
+        gates = gx[t]
+        if K and t:
+            prev = ys[t - 1] if force is None else np.where(force[t][:, None], gold_t[t - 1],
+                                                            ys[t - 1])
+            prevs[t] = prev
+            gates = gates + prev @ w_y.T
+        gates = gates + h @ wh.T
+        a = acts[t]
+        a[:, i_f] = 1.0 / (1.0 + np.exp(-gates[:, i_f]))
+        a[:, cell] = np.tanh(gates[:, cell])
+        a[:, out_gate] = 1.0 / (1.0 + np.exp(-gates[:, out_gate]))
+        c_prev[t] = c
+        h_prev[t] = h
+        c = a[:, hid:2 * hid] * c + a[:, :hid] * a[:, cell]
+        tanh_c[t] = np.tanh(c)
+        h = a[:, out_gate] * tanh_c[t]
+        if keep is not None:
+            h = h * keep[t]
+            c = c * keep[t]
+        hs[t] = h
+        if K:
+            z = h @ proj.values.T
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            ys[t] = e / e.sum(axis=1, keepdims=True)
+
+    def bk(g):
+        g = g.reshape(T, B, hid + K)
+        d_act = acts * (1.0 - acts)
+        d_act[..., cell] = 1.0 - acts[..., cell] ** 2
+        d_gates = np.empty((T, B, 4 * hid))
+        d_z = np.empty((T, B, K))
+        dh = np.zeros((B, hid))
+        dc = np.zeros((B, hid))
+        dy = None                          # gradient reaching y_t from step t + 1
+        for t in reversed(order):
+            dh = dh + g[t, :, :hid]
+            if K:
+                y = ys[t]
+                gy = g[t, :, hid:] if dy is None else g[t, :, hid:] + dy
+                d_z[t] = (gy - (gy * y).sum(axis=1, keepdims=True)) * y
+                dh += d_z[t] @ proj.values
+            if keep is not None:
+                dh = dh * keep[t]
+                dc = dc * keep[t]
+            a = acts[t]
+            dc = dc + dh * a[:, out_gate] * (1.0 - tanh_c[t] ** 2)
+            dg = d_gates[t]
+            np.multiply(dc, a[:, cell], out=dg[:, :hid])
+            np.multiply(dc, c_prev[t], out=dg[:, hid:2 * hid])
+            np.multiply(dc, a[:, :hid], out=dg[:, cell])
+            np.multiply(dh, tanh_c[t], out=dg[:, out_gate])
+            dg *= d_act[t]
+            dc = dc * a[:, hid:2 * hid]
+            dh = dg @ wh
+            if K and t:
+                dy = dg @ w_y
+                if force is not None:
+                    dy[force[t]] = 0.0
+        d_gates = d_gates.reshape(T * B, 4 * hid)
+        grads = [
+            d_gates @ w_in if x.requires_grad else None,
+            d_gates.T @ (np.concatenate([prevs.reshape(T * B, K), xv], axis=1) if K else xv)
+            if w_x.requires_grad else None,
+            d_gates.T @ h_prev.reshape(T * B, hid) if w_h.requires_grad else None,
+            d_gates.sum(axis=0) if b.requires_grad else None,
+        ]
+        if proj is not None:
+            grads.append(d_z.reshape(T * B, K).T @ hs.reshape(T * B, hid)
+                         if proj.requires_grad else None)
+        return tuple(grads)
+
+    out = hs if proj is None else np.concatenate([hs, ys], axis=2)
+    inputs = (x, w_x, w_h, b) if proj is None else (x, w_x, w_h, b, proj)
+    return _record("lstm_scan", out.reshape(T * B, hid + K), inputs, bk)
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(tensor) into every reachable tensor's grad buffer."""
     if loss.values.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss.tape is None:
-        raise ValueError("loss is not attached to a tape (nothing was recorded)")
-    loss.tape.backward_from(loss)
+    tape = loss.tape
+    if tape is None:
+        raise ValueError("loss is not attached to a live tape (nothing was recorded, "
+                         "or the tape was freed)")
+    tape.backward_from(loss)
 
 
 def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],

@@ -55,23 +55,24 @@ def fuse(h_rational: Tensor, h_intuitive: Tensor, r: Tensor) -> Tensor:
     return ad.add(ad.mul(h_rational, r), ad.mul(h_intuitive, ad.sub(ones, r)))
 
 
-def fuse_slot(h_rs: Tensor, h_is: Tensor, r_s: Tensor) -> Tensor:
-    return fuse(h_rs, h_is, r_s)
+# perfbench/tracer.py looks this name up; the model calls ``fuse`` for both tasks
+fuse_slot = fuse
 
 
-def fuse_intent(blend_steps: list[Tensor], mask: np.ndarray) -> Tensor:
-    """Sum the per-token fused intent features over unmasked tokens only."""
-    total = None
-    for t, blend in enumerate(blend_steps):
-        masked = ad.mask_rows(blend, mask[:, t].astype(np.float64))
-        total = masked if total is None else ad.add(total, masked)
-    return total
+def fuse_intent(blend: Tensor, mask: np.ndarray) -> Tensor:
+    """Sum the time-major per-token fused intent features [T*B, d] over each
+    utterance's unmasked tokens, giving [B, d]."""
+    B, T = mask.shape
+    pool = np.zeros((B, T, B))
+    pool[np.arange(B), :, np.arange(B)] = mask      # pool[b, t, b] = mask[b, t]
+    return ad.matmul(ad.constant(pool.reshape(B, T * B)), blend)
 
 
-def predict(h_slot_steps: list[Tensor], h_intent: Tensor,
-            w_slot: Tensor, w_intent: Tensor) -> tuple[list[Tensor], Tensor]:
-    """Final label distributions: per-token slot rows and one intent row per
-    utterance. Predicted labels are argmax with ties to the lowest index."""
-    y_slots = [ad.softmax(ad.linear(h, w_slot), axis=1) for h in h_slot_steps]
+def predict(h_slot: Tensor, h_intent: Tensor,
+            w_slot: Tensor, w_intent: Tensor) -> tuple[Tensor, Tensor]:
+    """Final label distributions: per-token slot rows (time-major, as h_slot)
+    and one intent row per utterance. Predicted labels are argmax with ties to
+    the lowest index."""
+    y_slot = ad.softmax(ad.linear(h_slot, w_slot), axis=1)
     y_intent = ad.softmax(ad.linear(h_intent, w_intent), axis=1)
-    return y_slots, y_intent
+    return y_slot, y_intent

@@ -71,16 +71,17 @@ class EncodedUtterance:
 
 @dataclass
 class EncoderOutput:
-    """Batched encoder output, kept time-major as lists of [B, *] tensors."""
+    """Batched encoder output, time-major: row ``t * B + b`` is utterance b's
+    token t."""
 
-    e_steps: list[Tensor]          # T tensors [B, e_width]
-    h_steps: list[Tensor]          # T tensors [B, 2h]
-    c_steps: list[Tensor] | None   # T tensors [B, emb] when attention is on
-    mask: np.ndarray               # [B, T] bool
+    e: Tensor              # [T*B, e_width]
+    h: Tensor              # [T*B, 2h]
+    c: Tensor | None       # [T*B, emb] when attention is on
+    mask: np.ndarray       # [B, T] bool
 
     @property
     def e_width(self) -> int:
-        return self.e_steps[0].shape[1]
+        return self.e.shape[1]
 
 
 def init_embedding(vocab_size: int, emb_dim: int, rng: Rng, pad_id: int = 0) -> EmbeddingTable:
@@ -114,6 +115,8 @@ def embed(token_ids: np.ndarray, table: EmbeddingTable) -> Tensor:
 
 
 def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams) -> tuple[Tensor, Tensor]:
+    """One LSTM step from primitive ops; the reference ``ad.lstm_scan`` is tested
+    against."""
     h = p.hidden
     if x.shape[1] != p.input_size or h_prev.shape[1] != h or c_prev.shape[1] != h:
         raise ShapeError(
@@ -129,33 +132,19 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams) -> tuple
     return h_new, c
 
 
-def bilstm_forward(x_steps: list[Tensor], mask: np.ndarray,
-                   fwd: LstmParams, bwd: LstmParams) -> list[Tensor]:
-    """Per-token [B, 2h] states; rows at masked positions are exactly zero.
+def bilstm_forward(x: Tensor, mask: np.ndarray, fwd: LstmParams, bwd: LstmParams) -> Tensor:
+    """Per-token [T*B, 2h] states of time-major input x [T*B, in], with mask
+    [B, T]; rows at masked positions are exactly zero.
 
     Both scans hold their state at zero across masked steps, so the backward
     scan effectively starts fresh at each row's true last token.
     """
-    if not x_steps:
+    T = mask.shape[1]
+    if T < 1 or x.shape[0] == 0:
         raise ShapeError("bilstm_forward needs at least one timestep")
-    T = len(x_steps)
-    B = x_steps[0].shape[0]
-    mcols = [mask[:, t].astype(np.float64) for t in range(T)]
-
-    def scan(p: LstmParams, order) -> dict[int, Tensor]:
-        h = ad.constant(np.zeros((B, p.hidden)))
-        c = ad.constant(np.zeros((B, p.hidden)))
-        out = {}
-        for t in order:
-            h_new, c_new = lstm_step(x_steps[t], h, c, p)
-            h = ad.mask_rows(h_new, mcols[t])
-            c = ad.mask_rows(c_new, mcols[t])
-            out[t] = h
-        return out
-
-    h_fwd = scan(fwd, range(T))
-    h_bwd = scan(bwd, range(T - 1, -1, -1))
-    return [ad.concat([h_fwd[t], h_bwd[t]], axis=1) for t in range(T)]
+    h_fwd = ad.lstm_scan(x, fwd.w_x, fwd.w_h, fwd.b, T, mask=mask)
+    h_bwd = ad.lstm_scan(x, bwd.w_x, bwd.w_h, bwd.b, T, mask=mask, reverse=True)
+    return ad.concat([h_fwd, h_bwd], axis=1)
 
 
 def attention_prior(T: int, w_eff: Tensor, b_eff: Tensor) -> Tensor:
@@ -194,11 +183,10 @@ def encode_batch(token_ids: np.ndarray, mask: np.ndarray, emb_table: EmbeddingTa
     emb_all = ad.dropout(emb_all, dropout_rate, dropout_rng, training)
     row_mask = mask.reshape(-1).astype(np.float64)
     emb_all = ad.mask_rows(emb_all, row_mask)
-    x_steps = [ad.take_rows(emb_all, np.arange(B) * T + t) for t in range(T)]
-
-    h_steps = bilstm_forward(x_steps, mask, fwd, bwd)
+    time_major = np.arange(B * T).reshape(B, T).T.reshape(-1)  # row t*B+b <- b*T+t
+    h_all = bilstm_forward(ad.take_rows(emb_all, time_major), mask, fwd, bwd)
     if attn is None:
-        return EncoderOutput(e_steps=h_steps, h_steps=h_steps, c_steps=None, mask=mask)
+        return EncoderOutput(e=h_all, h=h_all, c=None, mask=mask)
 
     w_eff, b_eff = attn.effective()
     prior = attention_prior(T, w_eff, b_eff)
@@ -207,10 +195,8 @@ def encode_batch(token_ids: np.ndarray, mask: np.ndarray, emb_table: EmbeddingTa
         x_i = ad.slice_rows(emb_all, i * T, (i + 1) * T)
         c_i, _ = gaussian_self_attention(x_i, mask[i], w_eff, b_eff, prior=prior)
         contexts.append(c_i)
-    c_all = ad.concat(contexts, axis=0)                        # [B*T, emb]
-    c_steps = [ad.take_rows(c_all, np.arange(B) * T + t) for t in range(T)]
-    e_steps = [ad.concat([h_steps[t], c_steps[t]], axis=1) for t in range(T)]
-    return EncoderOutput(e_steps=e_steps, h_steps=h_steps, c_steps=c_steps, mask=mask)
+    c_all = ad.take_rows(ad.concat(contexts, axis=0), time_major)
+    return EncoderOutput(e=ad.concat([h_all, c_all], axis=1), h=h_all, c=c_all, mask=mask)
 
 
 def encode_utterance(token_ids, emb_table: EmbeddingTable, fwd: LstmParams,
@@ -219,10 +205,9 @@ def encode_utterance(token_ids, emb_table: EmbeddingTable, fwd: LstmParams,
     ids = np.asarray(token_ids, dtype=np.int64).reshape(1, -1)
     mask = np.ones_like(ids, dtype=bool)
     out = encode_batch(ids, mask, emb_table, fwd, bwd, attn)
-    stack = lambda steps: np.vstack([s.values for s in steps])
     return EncodedUtterance(
-        E=stack(out.e_steps),
-        H=stack(out.h_steps),
-        C=stack(out.c_steps) if out.c_steps is not None else None,
+        E=out.e.values,
+        H=out.h.values,
+        C=out.c.values if out.c is not None else None,
         mask=mask[0],
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Rng, Tensor
-from .encoder import LstmParams, init_lstm, lstm_step
+from .encoder import LstmParams, init_lstm
 
 
 @dataclass
@@ -33,39 +33,41 @@ class DecoderParams:
 class TeacherForcing:
     """Per-step substitution of gold one-hots for previous output distributions.
 
-    ``gold_steps[t]`` is the [B, K] one-hot of the gold label at step t (the
-    utterance intent repeated every step for intent decoders). Each step t >= 1
-    draws one Bernoulli per batch row from the stream; rate 0 (evaluation)
-    draws nothing.
+    ``gold`` is the time-major [T*B, K] one-hot of the gold label at each step
+    (the utterance intent repeated every step for intent decoders). Each step
+    t >= 1 draws one Bernoulli per batch row from the stream; rate 0
+    (evaluation) draws nothing.
     """
 
     rate: float
     rng: Rng | None
-    gold_steps: list[np.ndarray]
+    gold: np.ndarray | None
 
     def __post_init__(self):
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"teacher forcing rate must be in [0, 1], got {self.rate}")
 
-    def mix_prev(self, y_prev: Tensor, t: int) -> Tensor:
+    def draw(self, steps: int, batch: int) -> np.ndarray | None:
+        """[T, B] bool: which rows read the gold label at each step (row 0 is
+        all False); None when forcing is off."""
         if self.rate == 0.0:
-            return y_prev
-        force = self.rng.random(y_prev.shape[0]) < self.rate
-        if not force.any():
-            return y_prev
-        keep = (~force).astype(np.float64)
-        forced = ad.constant(self.gold_steps[t - 1] * force[:, None])
-        return ad.add(ad.mask_rows(y_prev, keep), forced)
+            return None
+        force = np.zeros((steps, batch), dtype=bool)
+        for t in range(1, steps):
+            force[t] = self.rng.random(batch) < self.rate
+        return force
 
 
 def disabled_teacher_forcing() -> TeacherForcing:
-    return TeacherForcing(rate=0.0, rng=None, gold_steps=[])
+    return TeacherForcing(rate=0.0, rng=None, gold=None)
 
 
 @dataclass
 class DecodeResult:
-    h_steps: list[Tensor]   # T tensors [B, hidden]
-    y_steps: list[Tensor]   # T tensors [B, n_labels], each row a distribution
+    """Time-major: row ``t * B + b`` is utterance b at step t."""
+
+    h: Tensor   # [T*B, hidden]
+    y: Tensor   # [T*B, n_labels], each row a distribution
 
 
 def init_decoder(input_size: int, hidden: int, n_labels: int, rng: Rng) -> DecoderParams:
@@ -76,63 +78,57 @@ def init_decoder(input_size: int, hidden: int, n_labels: int, rng: Rng) -> Decod
     )
 
 
-def _decode(e_steps: list[Tensor], p: DecoderParams, tf: TeacherForcing,
-            opposite_y: list[Tensor] | None = None) -> DecodeResult:
-    """Left-to-right decode; step input is [prev distribution (+ opposite task's
-    distribution) + encoder state]. The previous distribution at t = 0 is the
-    zero vector, so the first step carries no label prior."""
-    B = e_steps[0].shape[0]
-    h = ad.constant(np.zeros((B, p.cell.hidden)))
-    c = ad.constant(np.zeros((B, p.cell.hidden)))
-    y_prev: Tensor | None = None
-    h_steps, y_steps = [], []
-    for t, e_t in enumerate(e_steps):
-        prev = ad.constant(np.zeros((B, p.n_labels))) if t == 0 else tf.mix_prev(y_prev, t)
-        parts = [prev] if opposite_y is None else [prev, opposite_y[t]]
-        parts.append(e_t)
-        h, c = lstm_step(ad.concat(parts, axis=1), h, c, p.cell)
-        y = ad.softmax(ad.linear(h, p.proj), axis=1)
-        h_steps.append(h)
-        y_steps.append(y)
-        y_prev = y
-    return DecodeResult(h_steps=h_steps, y_steps=y_steps)
+def decode(e: Tensor, steps: int, p: DecoderParams, tf: TeacherForcing,
+           opposite_y: Tensor | None = None) -> DecodeResult:
+    """Left-to-right decode of the time-major encoder states e [T*B, e_width].
+
+    Step input is [prev distribution (+ opposite task's distribution) +
+    encoder state]. The previous distribution at t = 0 is the zero vector, so
+    the first step carries no label prior.
+    """
+    x = e if opposite_y is None else ad.concat([opposite_y, e], axis=1)
+    force = tf.draw(steps, e.shape[0] // steps)
+    cell = p.cell
+    out = ad.lstm_scan(x, cell.w_x, cell.w_h, cell.b, steps, proj=p.proj, force=force,
+                       gold=tf.gold)
+    return DecodeResult(h=ad.slice_cols(out, 0, cell.hidden),
+                        y=ad.slice_cols(out, cell.hidden, cell.hidden + p.n_labels))
 
 
-def intuitive_slot_decode(e_steps: list[Tensor], p: DecoderParams,
+# One name per decoder role, so that each can be timed on its own
+# (perfbench/tracer.py wraps these names).
+
+def intuitive_slot_decode(e: Tensor, steps: int, p: DecoderParams,
                           tf: TeacherForcing) -> DecodeResult:
-    return _decode(e_steps, p, tf)
+    return decode(e, steps, p, tf)
 
 
-def rational_intent_decode(e_steps: list[Tensor], slot_y: list[Tensor],
-                           p: DecoderParams, tf: TeacherForcing) -> DecodeResult:
-    return _decode(e_steps, p, tf, opposite_y=slot_y)
+def rational_intent_decode(e: Tensor, steps: int, slot_y: Tensor, p: DecoderParams,
+                           tf: TeacherForcing) -> DecodeResult:
+    return decode(e, steps, p, tf, opposite_y=slot_y)
 
 
-def intuitive_intent_decode(e_steps: list[Tensor], p: DecoderParams,
+def intuitive_intent_decode(e: Tensor, steps: int, p: DecoderParams,
                             tf: TeacherForcing) -> DecodeResult:
-    return _decode(e_steps, p, tf)
+    return decode(e, steps, p, tf)
 
 
-def rational_slot_decode(e_steps: list[Tensor], intent_y: list[Tensor],
-                         p: DecoderParams, tf: TeacherForcing) -> DecodeResult:
-    return _decode(e_steps, p, tf, opposite_y=intent_y)
+def rational_slot_decode(e: Tensor, steps: int, intent_y: Tensor, p: DecoderParams,
+                         tf: TeacherForcing) -> DecodeResult:
+    return decode(e, steps, p, tf, opposite_y=intent_y)
 
 
-def slot_gold_onehots(slot_ids: np.ndarray, n_slots: int) -> list[np.ndarray]:
-    """Per-step [B, n_slots] one-hots; sentinel (padding) ids give zero rows."""
-    B, T = slot_ids.shape
-    steps = []
-    for t in range(T):
-        oh = np.zeros((B, n_slots))
-        ids = slot_ids[:, t]
-        valid = (ids >= 0) & (ids < n_slots)
-        oh[np.arange(B)[valid], ids[valid]] = 1.0
-        steps.append(oh)
-    return steps
+def slot_gold_onehots(slot_ids: np.ndarray, n_slots: int) -> np.ndarray:
+    """Time-major [T*B, n_slots] one-hots; sentinel (padding) ids give zero rows."""
+    ids = slot_ids.T.reshape(-1)
+    valid = (ids >= 0) & (ids < n_slots)
+    oh = np.zeros((ids.size, n_slots))
+    oh[np.flatnonzero(valid), ids[valid]] = 1.0
+    return oh
 
 
-def intent_gold_onehots(intent_ids: np.ndarray, n_intents: int, T: int) -> list[np.ndarray]:
-    B = intent_ids.shape[0]
-    oh = np.zeros((B, n_intents))
-    oh[np.arange(B), intent_ids] = 1.0
-    return [oh] * T
+def intent_gold_onehots(intent_ids: np.ndarray, n_intents: int, T: int) -> np.ndarray:
+    """Time-major [T*B, n_intents]: the utterance intent at every step."""
+    oh = np.zeros((intent_ids.shape[0], n_intents))
+    oh[np.arange(intent_ids.shape[0]), intent_ids] = 1.0
+    return np.tile(oh, (T, 1))

@@ -57,15 +57,16 @@ class DecoderTrace:
 
 @dataclass
 class ForwardResult:
-    y_slot_steps: list[Tensor]   # T tensors [B, n_slots]
+    y_slot: Tensor               # [T*B, n_slots], time-major
     y_intent: Tensor             # [B, n_intents]
     trace: DecoderTrace
     encoded: enc.EncoderOutput
-    mask: np.ndarray
+    mask: np.ndarray             # [B, T]
 
     def slot_predictions(self) -> np.ndarray:
         """[B, T] argmax slot ids (meaningless at masked positions)."""
-        return np.stack([y.values.argmax(axis=1) for y in self.y_slot_steps], axis=1)
+        B, T = self.mask.shape
+        return self.y_slot.values.argmax(axis=1).reshape(T, B).T
 
     def intent_predictions(self) -> np.ndarray:
         return self.y_intent.values.argmax(axis=1)
@@ -152,6 +153,16 @@ class JointModel:
             t.zero_grad()
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
+        """Load exactly the active parameters: a missing or an extra name is an
+        error, never a silently kept initial value."""
+        active = self.active_param_names()
+        missing = [n for n in active if n not in values]
+        if missing:
+            raise ValueError(f"missing tensor {missing[0]!r} for the model's active parameters")
+        extra = sorted(set(values) - set(active))
+        if extra:
+            raise ValueError(f"unexpected tensor {extra[0]!r}: not an active parameter of "
+                             f"this model")
         for name, arr in values.items():
             tensor = self.params[name]
             if tensor.values.shape != arr.shape:
@@ -171,58 +182,51 @@ class JointModel:
             batch.token_ids, batch.mask, self.embedding, self.enc_fwd, self.enc_bwd,
             self.attention if flags.gaussian_attention else None,
             training=training, dropout_rate=dropout_rate, dropout_rng=dropout_rng)
-        e_steps = encoded.e_steps
+        e = encoded.e
 
         use_tf = training and tf_rate > 0.0
         if use_tf:
             slot_gold = inter.slot_gold_onehots(batch.slot_ids, self.dims.n_slots)
             intent_gold = inter.intent_gold_onehots(batch.intent_ids, self.dims.n_intents, T)
 
-        def forcing(gold_steps) -> inter.TeacherForcing:
+        def forcing(gold) -> inter.TeacherForcing:
             if not use_tf:
                 return inter.disabled_teacher_forcing()
-            return inter.TeacherForcing(rate=tf_rate, rng=tf_rng, gold_steps=gold_steps)
+            return inter.TeacherForcing(rate=tf_rate, rng=tf_rng, gold=gold)
 
         trace = DecoderTrace()
         if flags.slot2intent:
             trace.slot_intuitive = inter.intuitive_slot_decode(
-                e_steps, self.dec_slot_intuitive, forcing(slot_gold if use_tf else None))
+                e, T, self.dec_slot_intuitive, forcing(slot_gold if use_tf else None))
             trace.intent_rational = inter.rational_intent_decode(
-                e_steps, trace.slot_intuitive.y_steps, self.dec_intent_rational,
+                e, T, trace.slot_intuitive.y, self.dec_intent_rational,
                 forcing(intent_gold if use_tf else None))
         if flags.intent2slot:
             trace.intent_intuitive = inter.intuitive_intent_decode(
-                e_steps, self.dec_intent_intuitive, forcing(intent_gold if use_tf else None))
+                e, T, self.dec_intent_intuitive, forcing(intent_gold if use_tf else None))
             trace.slot_rational = inter.rational_slot_decode(
-                e_steps, trace.intent_intuitive.y_steps, self.dec_slot_rational,
+                e, T, trace.intent_intuitive.y, self.dec_slot_rational,
                 forcing(slot_gold if use_tf else None))
 
         if flags.gates_active:
-            h_slot_steps = [
-                coop.fuse_slot(h_rs, h_is, coop.gate(h_rs, self.coop.slot_gate))
-                for h_rs, h_is in zip(trace.slot_rational.h_steps,
-                                      trace.slot_intuitive.h_steps)
-            ]
-            intent_blends = [
-                coop.fuse(h_ri, h_ii, coop.gate(h_ri, self.coop.intent_gate))
-                for h_ri, h_ii in zip(trace.intent_rational.h_steps,
-                                      trace.intent_intuitive.h_steps)
-            ]
+            h_rs, h_is = trace.slot_rational.h, trace.slot_intuitive.h
+            h_slot = coop.fuse(h_rs, h_is, coop.gate(h_rs, self.coop.slot_gate))
+            h_ri, h_ii = trace.intent_rational.h, trace.intent_intuitive.h
+            intent_blend = coop.fuse(h_ri, h_ii, coop.gate(h_ri, self.coop.intent_gate))
         else:
             if flags.intent2slot and flags.slot2intent:
-                h_slot_steps = trace.slot_rational.h_steps
-                intent_blends = trace.intent_rational.h_steps
+                h_slot = trace.slot_rational.h
+                intent_blend = trace.intent_rational.h
             elif flags.intent2slot:
-                h_slot_steps = trace.slot_rational.h_steps
-                intent_blends = trace.intent_intuitive.h_steps
+                h_slot = trace.slot_rational.h
+                intent_blend = trace.intent_intuitive.h
             else:
-                h_slot_steps = trace.slot_intuitive.h_steps
-                intent_blends = trace.intent_rational.h_steps
+                h_slot = trace.slot_intuitive.h
+                intent_blend = trace.intent_rational.h
 
-        h_intent = coop.fuse_intent(intent_blends, batch.mask)
-        y_slot_steps, y_intent = coop.predict(h_slot_steps, h_intent,
-                                              self.head_slot, self.head_intent)
-        return ForwardResult(y_slot_steps=y_slot_steps, y_intent=y_intent,
+        h_intent = coop.fuse_intent(intent_blend, batch.mask)
+        y_slot, y_intent = coop.predict(h_slot, h_intent, self.head_slot, self.head_intent)
+        return ForwardResult(y_slot=y_slot, y_intent=y_intent,
                              trace=trace, encoded=encoded, mask=batch.mask)
 
 

@@ -40,10 +40,11 @@ class TrainConfig:
     def validate(self) -> None:
         if not 0.0 <= self.loss_lambda <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {self.loss_lambda}")
-        for name in ("teacher_forcing_rate", "dropout_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        if not 0.0 <= self.teacher_forcing_rate <= 1.0:
+            raise ValueError(f"teacher_forcing_rate must be in [0, 1], "
+                             f"got {self.teacher_forcing_rate}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 0:
@@ -62,19 +63,17 @@ class TrainingDiverged(RuntimeError):
     """The loss became non-finite; names the first offending tensor."""
 
 
-def slot_loss(y_slot_steps: list[Tensor], slot_ids: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Sum of -log p(gold slot) over unmasked tokens of the whole batch."""
-    n_slots = y_slot_steps[0].shape[1]
-    total = None
-    for t, y_t in enumerate(y_slot_steps):
-        ids = slot_ids[:, t]
-        valid = mask[:, t]
-        if (ids[valid] < 0).any() or (ids[valid] >= n_slots).any():
-            raise IndexError(f"gold slot id out of range at step {t}")
-        logp = ad.log(ad.pick_cols(y_t, np.where(valid, ids, 0)))
-        term = ad.sum_all(ad.mask_rows(logp, valid.astype(np.float64)))
-        total = term if total is None else ad.add(total, term)
-    return ad.neg(total)
+def slot_loss(y_slot: Tensor, slot_ids: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Sum of -log p(gold slot) over unmasked tokens of the whole batch; y_slot
+    is time-major [T*B, n_slots], slot_ids and mask are [B, T]."""
+    n_slots = y_slot.shape[1]
+    ids = slot_ids.T.reshape(-1)
+    valid = mask.T.reshape(-1)
+    bad = np.flatnonzero(valid & ((ids < 0) | (ids >= n_slots)))
+    if bad.size:
+        raise IndexError(f"gold slot id out of range at step {bad[0] // slot_ids.shape[0]}")
+    logp = ad.log(ad.pick_cols(y_slot, np.where(valid, ids, 0)))
+    return ad.neg(ad.sum_all(ad.mask_rows(logp, valid.astype(np.float64))))
 
 
 def intent_loss(y_intent: Tensor, intent_ids: np.ndarray) -> Tensor:
@@ -92,14 +91,18 @@ def joint_loss(l_slot: Tensor, l_intent: Tensor, lam: float) -> Tensor:
 
 
 def batch_loss(result: ForwardResult, batch: UtteranceBatch, lam: float) -> Tensor:
-    return joint_loss(slot_loss(result.y_slot_steps, batch.slot_ids, batch.mask),
+    return joint_loss(slot_loss(result.y_slot, batch.slot_ids, batch.mask),
                       intent_loss(result.y_intent, batch.intent_ids), lam)
 
 
 class Adam:
     """Adam with bias correction; L2 decay is added to the raw gradient before
     the moment updates. Rows listed in ``frozen_rows`` (the pad embedding row)
-    are re-zeroed after every step."""
+    are re-zeroed after every step.
+
+    The update arithmetic runs in two scratch buffers sized for the largest
+    parameter, in the same order of operations as the textbook expression, and
+    never writes into a gradient buffer."""
 
     def __init__(self, params: list[tuple[str, Tensor]], lr: float, l2_decay: float = 0.0,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
@@ -109,9 +112,11 @@ class Adam:
         self.l2_decay = l2_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self.m = {name: np.zeros_like(t.values) for name, t in params}
-        self.v = {name: np.zeros_like(t.values) for name, t in params}
+        self.m = {name: np.zeros(t.values.shape) for name, t in params}
+        self.v = {name: np.zeros(t.values.shape) for name, t in params}
         self.frozen_rows = frozen_rows or []
+        size = max((t.values.size for _, t in params), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self) -> None:
         self.step_count += 1
@@ -120,15 +125,26 @@ class Adam:
         bc2 = 1.0 - self.beta2 ** t
         for name, p in self.params:
             g = p.grad
+            s1, s2 = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
             if self.l2_decay:
-                g = g + self.l2_decay * p.values
+                np.multiply(p.values, self.l2_decay, out=s1)
+                g = np.add(g, s1, out=s1)
             m = self.m[name]
             v = self.v[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=s2)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, g, out=s2)
+            s2 *= 1.0 - self.beta2
+            v += s2
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            step = np.divide(m, bc1, out=s1)
+            step *= self.lr
+            denom = np.divide(v, bc2, out=s2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.values -= step
         for tensor, row in self.frozen_rows:
             tensor.values[row, :] = 0.0
 

@@ -150,7 +150,7 @@ def test_analytic_unit_oracles():
         for _ in range(1000):
             h_rs = ad.constant(rng.uniform(-3, 3, (1, 6)))
             h_is = ad.constant(rng.uniform(-3, 3, (1, 6)))
-            out = coop.fuse_slot(h_rs, h_is, coop.gate(h_rs, p)).values
+            out = coop.fuse(h_rs, h_is, coop.gate(h_rs, p)).values
             lo = np.minimum(h_rs.values, h_is.values)
             hi = np.maximum(h_rs.values, h_is.values)
             assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from jointslu import autodiff as ad
 from jointslu import cli
 from jointslu import training as tr
 
@@ -77,6 +78,13 @@ class TestTrain:
         assert "no_intent2slot = True" in (tmp_path / "resolved_config.txt").read_text()
         ckpt = tr.load_checkpoint(str(tmp_path / "checkpoint.bin"))
         assert not any(n.startswith("decoder.slot_rational") for n in ckpt.tensors)
+
+    def test_dropout_rate_one_rejected_before_output(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["train", "--data", str(synth_dir), "--out", str(out),
+                    "--dropout-rate", "1.0"]) == 1
+        assert "error: dropout_rate" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_data_dir_fails(self, tmp_path):
         assert run(["train", "--data", str(tmp_path / "nope"),
@@ -176,6 +184,23 @@ class TestPredict:
                     "--text", "completely novel words"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines[0].removeprefix("tags = ").split()) == 3
+
+    @pytest.mark.parametrize("edit,name", [
+        (lambda params: params.pop("head.slot"), "head.slot"),
+        (lambda params: params.setdefault("decoder.extra.w", ad.parameter(np.zeros(2))),
+         "decoder.extra.w"),
+    ])
+    def test_checkpoint_with_wrong_tensor_names_fails(self, trained_dir, tmp_path, capsys,
+                                                      edit, name):
+        out, _ = trained_dir
+        ckpt = tr.load_checkpoint(str(out / "checkpoint.bin"))
+        model = ckpt.build_model()
+        edit(model.params)
+        bad = tmp_path / "bad.bin"
+        tr.save_checkpoint(str(bad), model, ckpt.config, ckpt.vocab)
+        assert run(["predict", "--checkpoint", str(bad), "--text", "w0 w1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "Traceback" not in err
 
     def test_empty_input_fails(self, trained_dir, capsys):
         out, _ = trained_dir

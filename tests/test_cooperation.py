@@ -33,7 +33,7 @@ class TestGate:
 
         def f():
             r = coop.gate(h_rs, p)
-            return ad.sum_all(ad.tanh(coop.fuse_slot(h_rs, h_is, r)))
+            return ad.sum_all(ad.tanh(coop.fuse(h_rs, h_is, r)))
 
         err = ad.grad_check(f, [h_rs, h_is, p.w1, p.b1, p.w2, p.b2], 1e-5)
         assert err <= 1e-5
@@ -43,14 +43,14 @@ class TestFuse:
     def test_width_one_degenerate_gate(self):
         h_rs = ad.constant([[2.0]])
         h_is = ad.constant([[-9.0]])
-        out = coop.fuse_slot(h_rs, h_is, ad.constant([[1.0]]))
+        out = coop.fuse(h_rs, h_is, ad.constant([[1.0]]))
         assert np.array_equal(out.values, h_rs.values)
 
     def test_blend_of_equals(self):
         rng = Rng(3)
         h = rng.uniform(-1, 1, (2, 4))
         r = rng.uniform(0, 1, (2, 4))
-        out = coop.fuse_slot(ad.constant(h), ad.constant(h), ad.constant(r))
+        out = coop.fuse(ad.constant(h), ad.constant(h), ad.constant(r))
         assert np.allclose(out.values, h, atol=1e-15)
 
     def test_matches_direct_arithmetic(self):
@@ -58,12 +58,12 @@ class TestFuse:
         h_rs = rng.uniform(-1, 1, (1, 4))
         h_is = rng.uniform(-1, 1, (1, 4))
         r = rng.uniform(0, 1, (1, 4))
-        out = coop.fuse_slot(ad.constant(h_rs), ad.constant(h_is), ad.constant(r))
+        out = coop.fuse(ad.constant(h_rs), ad.constant(h_is), ad.constant(r))
         assert np.abs(out.values - (h_rs * r + h_is * (1 - r))).max() <= 1e-12
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
-            coop.fuse_slot(ad.constant(np.ones((1, 2))), ad.constant(np.ones((1, 3))),
+            coop.fuse(ad.constant(np.ones((1, 2))), ad.constant(np.ones((1, 3))),
                            ad.constant(np.ones((1, 2))))
 
     def test_convexity_bound(self):
@@ -73,56 +73,61 @@ class TestFuse:
             h_rs = ad.constant(rng.uniform(-2, 2, (1, 4)))
             h_is = ad.constant(rng.uniform(-2, 2, (1, 4)))
             r = coop.gate(h_rs, p)
-            out = coop.fuse_slot(h_rs, h_is, r).values
+            out = coop.fuse(h_rs, h_is, r).values
             lo = np.minimum(h_rs.values, h_is.values)
             hi = np.maximum(h_rs.values, h_is.values)
             assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
 
+def time_major(steps):
+    """One [T*B, d] tensor from T per-step [B, d] arrays."""
+    return ad.constant(np.vstack(steps))
+
+
 class TestFuseIntent:
     def test_single_token(self):
-        blend = [ad.constant([[1.0, 2.0]])]
+        blend = time_major([[[1.0, 2.0]]])
         out = coop.fuse_intent(blend, np.array([[True]]))
         assert np.array_equal(out.values, [[1.0, 2.0]])
 
     def test_sum_not_mean(self):
-        b = ad.constant([[1.0, 2.0]])
-        doubled = coop.fuse_intent([b, b], np.array([[True, True]]))
+        b = [[1.0, 2.0]]
+        doubled = coop.fuse_intent(time_major([b, b]), np.array([[True, True]]))
         assert np.array_equal(doubled.values, [[2.0, 4.0]])
 
     def test_padded_tokens_contribute_zero(self):
-        b = ad.constant([[1.0, 2.0], [3.0, 4.0]])
+        b = [[1.0, 2.0], [3.0, 4.0]]
         mask = np.array([[True, False], [True, True]])
-        out = coop.fuse_intent([b, b], mask)
+        out = coop.fuse_intent(time_major([b, b]), mask)
         assert np.array_equal(out.values, [[1.0, 2.0], [6.0, 8.0]])
 
     def test_permutation_equivariance(self):
         rng = Rng(6)
-        blends = [ad.constant(rng.uniform(-1, 1, (2, 3))) for _ in range(4)]
+        blends = [rng.uniform(-1, 1, (2, 3)) for _ in range(4)]
         mask = np.ones((2, 4), dtype=bool)
-        a = coop.fuse_intent(blends, mask)
+        a = coop.fuse_intent(time_major(blends), mask)
         order = [2, 0, 3, 1]
-        b = coop.fuse_intent([blends[i] for i in order], mask[:, order])
+        b = coop.fuse_intent(time_major([blends[i] for i in order]), mask[:, order])
         assert np.allclose(a.values, b.values)
 
 
 class TestPredict:
     def test_zero_weights_give_uniform_and_index_zero(self):
-        h_steps = [ad.constant(np.ones((2, 3)))]
+        h_slot = time_major([np.ones((2, 3))])
         h_intent = ad.constant(np.ones((2, 3)))
         w_s = ad.constant(np.zeros((4, 3)))
         w_i = ad.constant(np.zeros((5, 3)))
-        y_slots, y_intent = coop.predict(h_steps, h_intent, w_s, w_i)
-        assert np.allclose(y_slots[0].values, 0.25)
+        y_slot, y_intent = coop.predict(h_slot, h_intent, w_s, w_i)
+        assert np.allclose(y_slot.values, 0.25)
         assert np.allclose(y_intent.values, 0.2)
         assert y_intent.values.argmax(axis=1).tolist() == [0, 0]
 
     def test_rows_sum_to_one(self):
         rng = Rng(7)
-        h_steps = [ad.constant(rng.uniform(-1, 1, (2, 3))) for _ in range(2)]
+        h_slot = time_major([rng.uniform(-1, 1, (2, 3)) for _ in range(2)])
         h_intent = ad.constant(rng.uniform(-1, 1, (2, 3)))
         w_s = ad.constant(rng.uniform(-1, 1, (4, 3)))
         w_i = ad.constant(rng.uniform(-1, 1, (5, 3)))
-        y_slots, y_intent = coop.predict(h_steps, h_intent, w_s, w_i)
-        for y in y_slots + [y_intent]:
+        y_slot, y_intent = coop.predict(h_slot, h_intent, w_s, w_i)
+        for y in (y_slot, y_intent):
             assert np.abs(y.values.sum(axis=1) - 1.0).max() <= 1e-12

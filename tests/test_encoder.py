@@ -7,7 +7,8 @@ from jointslu.autodiff import Rng, ShapeError, Tape
 
 
 def steps_from(matrix):
-    return [ad.constant(matrix[t: t + 1]) for t in range(matrix.shape[0])]
+    """A single utterance's [T, in] rows as a time-major [T*1, in] tensor."""
+    return ad.constant(matrix)
 
 
 def zero_lstm(in_size, h):
@@ -96,16 +97,15 @@ class TestBilstm:
         zero_c = ad.constant(np.zeros((1, 5)))
         hf, _ = enc.lstm_step(ad.constant(x), zero_h, zero_c, fwd)
         hb, _ = enc.lstm_step(ad.constant(x), zero_h, zero_c, bwd)
-        assert np.allclose(H[0].values, np.concatenate([hf.values, hb.values], axis=1))
+        assert np.allclose(H.values, np.concatenate([hf.values, hb.values], axis=1))
 
     def test_reversal_swaps_halves(self):
         rng = Rng(4)
         fwd, bwd = enc.init_lstm(3, 5, rng), enc.init_lstm(3, 5, rng)
         x = rng.uniform(-1, 1, (3, 3))
         mask = np.ones((1, 3), dtype=bool)
-        H = np.vstack([h.values for h in enc.bilstm_forward(steps_from(x), mask, fwd, bwd)])
-        H_rev = np.vstack([h.values for h in
-                           enc.bilstm_forward(steps_from(x[::-1]), mask, bwd, fwd)])
+        H = enc.bilstm_forward(steps_from(x), mask, fwd, bwd).values
+        H_rev = enc.bilstm_forward(steps_from(x[::-1]), mask, bwd, fwd).values
         assert np.allclose(H[:, :5], H_rev[::-1, 5:])
         assert np.allclose(H[:, 5:], H_rev[::-1, :5])
 
@@ -113,16 +113,17 @@ class TestBilstm:
         rng = Rng(5)
         fwd, bwd = enc.init_lstm(3, 4, rng), enc.init_lstm(3, 4, rng)
         mask = np.array([[True, True, False], [True, True, True]])
-        xs = [ad.constant(rng.uniform(-1, 1, (2, 3))) for _ in range(3)]
-        H = enc.bilstm_forward(xs, mask, fwd, bwd)
-        assert np.array_equal(H[2].values[0], np.zeros(8))
-        assert not np.array_equal(H[2].values[1], np.zeros(8))
+        xs = ad.constant(np.vstack([rng.uniform(-1, 1, (2, 3)) for _ in range(3)]))
+        H = enc.bilstm_forward(xs, mask, fwd, bwd).values.reshape(3, 2, 8)
+        assert np.array_equal(H[2, 0], np.zeros(8))
+        assert not np.array_equal(H[2, 1], np.zeros(8))
 
     def test_empty_sequence_rejected(self):
         rng = Rng(6)
         fwd, bwd = enc.init_lstm(3, 4, rng), enc.init_lstm(3, 4, rng)
         with pytest.raises(ShapeError):
-            enc.bilstm_forward([], np.ones((1, 0), dtype=bool), fwd, bwd)
+            enc.bilstm_forward(ad.constant(np.zeros((0, 3))), np.ones((1, 0), dtype=bool),
+                               fwd, bwd)
 
     def test_gradient_four_tokens_hidden_six(self):
         rng = Rng(7)
@@ -131,9 +132,7 @@ class TestBilstm:
         mask = np.ones((1, 4), dtype=bool)
 
         def f():
-            steps = [ad.slice_rows(xs, t, t + 1) for t in range(4)]
-            H = enc.bilstm_forward(steps, mask, fwd, bwd)
-            return ad.sum_all(ad.tanh(ad.concat(H, axis=0)))
+            return ad.sum_all(ad.tanh(enc.bilstm_forward(xs, mask, fwd, bwd)))
 
         err = ad.grad_check(f, [xs, fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b], 1e-5)
         assert err <= 1e-5
@@ -209,7 +208,7 @@ class TestEncodeBatch:
         ids = np.array([[2, 3]])
         out = enc.encode_batch(ids, np.ones((1, 2), dtype=bool), table, fwd, bwd, None)
         assert out.e_width == 6
-        assert out.c_steps is None
+        assert out.c is None
 
     def test_padding_rows_zero(self):
         rng = Rng(12)
@@ -217,7 +216,8 @@ class TestEncodeBatch:
         ids = np.array([[2, 3, 0], [4, 5, 6]])
         mask = np.array([[True, True, False], [True, True, True]])
         out = enc.encode_batch(ids, mask, table, fwd, bwd, attn)
-        assert np.array_equal(out.e_steps[2].values[0], np.zeros(out.e_width))
+        e = out.e.values.reshape(3, 2, out.e_width)    # [T, B, e_width]
+        assert np.array_equal(e[2, 0], np.zeros(out.e_width))
 
     def test_padded_content_is_invisible(self):
         rng = Rng(13)
@@ -225,10 +225,11 @@ class TestEncodeBatch:
         mask = np.array([[True, True, False], [True, True, True]])
         a = enc.encode_batch(np.array([[2, 3, 0], [4, 5, 6]]), mask, table, fwd, bwd, attn)
         b = enc.encode_batch(np.array([[2, 3, 7], [4, 5, 6]]), mask, table, fwd, bwd, attn)
-        for ea, eb in zip(a.e_steps, b.e_steps):
-            assert np.array_equal(ea.values[1], eb.values[1])
-        assert np.array_equal(a.e_steps[0].values[0], b.e_steps[0].values[0])
-        assert np.array_equal(a.e_steps[1].values[0], b.e_steps[1].values[0])
+        ea, eb = (out.e.values.reshape(3, 2, -1) for out in (a, b))   # [T, B, e_width]
+        for t in range(3):
+            assert np.array_equal(ea[t, 1], eb[t, 1])
+        assert np.array_equal(ea[0, 0], eb[0, 0])
+        assert np.array_equal(ea[1, 0], eb[1, 0])
 
     def test_encode_utterance_view(self):
         rng = Rng(14)

@@ -3,72 +3,81 @@ import pytest
 
 from jointslu import autodiff as ad
 from jointslu import interaction as inter
-from jointslu.autodiff import Rng, Tape
+from jointslu.autodiff import Rng
+from test_lstm_scan import reference_decode
 
 
-def make_e_steps(rng, T, B, width):
-    return [ad.constant(rng.uniform(-1, 1, (B, width))) for _ in range(T)]
+def make_e(rng, T, B, width):
+    """Time-major [T*B, width] encoder states."""
+    return ad.constant(rng.uniform(-1, 1, (T * B, width)))
 
 
 class TestTeacherForcing:
     def test_rate_bounds(self):
         with pytest.raises(ValueError):
-            inter.TeacherForcing(rate=1.5, rng=Rng(0), gold_steps=[])
+            inter.TeacherForcing(rate=1.5, rng=Rng(0), gold=None)
 
     def test_rate_one_forces_every_prev(self):
         rng = Rng(1)
-        e = make_e_steps(rng, 3, 2, 4)
+        e = make_e(rng, 3, 2, 4)
         p = inter.init_decoder(3 + 4, 5, 3, rng)
-        gold = [np.eye(3)[[0, 1]], np.eye(3)[[1, 2]], np.eye(3)[[2, 0]]]
-        tf = inter.TeacherForcing(rate=1.0, rng=Rng(2), gold_steps=gold)
-        mixed = tf.mix_prev(ad.constant(np.full((2, 3), 0.33)), t=2)
-        assert np.array_equal(mixed.values, gold[1])
+        gold = np.vstack([np.eye(3)[[0, 1]], np.eye(3)[[1, 2]], np.eye(3)[[2, 0]]])
+        tf = inter.TeacherForcing(rate=1.0, rng=Rng(2), gold=gold)
+        force = tf.draw(3, 2)
+        assert not force[0].any() and force[1:].all()
+        res = inter.decode(e, 3, p, inter.TeacherForcing(rate=1.0, rng=Rng(2), gold=gold))
+        h_ref, _, inputs = reference_decode(e, 3, p, force=force, gold=gold)
+        # the previous-label part of the step-2 input is the gold of step 1
+        assert np.array_equal(inputs[2][:, :3], gold[2:4])
+        assert np.abs(res.h.values - h_ref.values).max() <= 1e-12
 
     def test_rate_zero_passes_through(self):
         tf = inter.disabled_teacher_forcing()
-        y = ad.constant([[0.2, 0.8]])
-        assert tf.mix_prev(y, t=1) is y
+        assert tf.draw(4, 2) is None
 
 
 class TestDecoders:
     def test_first_step_has_zero_prev(self):
-        # with zero-weight projections the first input is [0-vector, e_1]
+        # the first input is [0-vector, e_1]
         rng = Rng(3)
-        e = make_e_steps(rng, 1, 1, 4)
+        e = make_e(rng, 2, 1, 4)
         p = inter.init_decoder(2 + 4, 5, 2, rng)
         captured = {}
-        original = inter.lstm_step
+        original = ad.lstm_scan
 
-        def spy(x, h, c, params):
+        def spy(x, *args, **kwargs):
             captured.setdefault("x", x.values.copy())
-            return original(x, h, c, params)
+            return original(x, *args, **kwargs)
 
-        inter.lstm_step = spy
+        ad.lstm_scan = spy
         try:
-            inter.intuitive_slot_decode(e, p, inter.disabled_teacher_forcing())
+            first = inter.intuitive_slot_decode(e, 2, p, inter.disabled_teacher_forcing())
         finally:
-            inter.lstm_step = original
-        assert np.array_equal(captured["x"][:, :2], np.zeros((1, 2)))
-        assert np.array_equal(captured["x"][:, 2:], e[0].values)
+            ad.lstm_scan = original
+        # the previous-label columns of w_x do not reach step 0
+        p.cell.w_x.values[:, :2] = rng.uniform(-1, 1, (20, 2))
+        moved = inter.intuitive_slot_decode(e, 2, p, inter.disabled_teacher_forcing())
+        assert np.array_equal(first.h.values[:1], moved.h.values[:1])
+        assert not np.array_equal(first.h.values[1:], moved.h.values[1:])
+        assert np.array_equal(captured["x"][:1], e.values[:1])
 
     def test_rows_are_distributions(self):
         rng = Rng(4)
-        e = make_e_steps(rng, 4, 3, 6)
+        e = make_e(rng, 4, 3, 6)
         p = inter.init_decoder(3 + 6, 5, 3, rng)
-        res = inter.intuitive_intent_decode(e, p, inter.disabled_teacher_forcing())
-        for y in res.y_steps:
-            assert np.abs(y.values.sum(axis=1) - 1.0).max() <= 1e-12
+        res = inter.intuitive_intent_decode(e, 4, p, inter.disabled_teacher_forcing())
+        assert res.y.shape == (12, 3)
+        assert np.abs(res.y.values.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_intuitive_decoders_are_symmetric(self):
         # same parameters and label count -> identical traces
         rng = Rng(5)
-        e = make_e_steps(rng, 3, 2, 4)
+        e = make_e(rng, 3, 2, 4)
         p = inter.init_decoder(3 + 4, 5, 3, Rng(6))
         tf = inter.disabled_teacher_forcing()
-        slot = inter.intuitive_slot_decode(e, p, tf)
-        intent = inter.intuitive_intent_decode(e, p, tf)
-        for a, b in zip(slot.y_steps, intent.y_steps):
-            assert np.array_equal(a.values, b.values)
+        slot = inter.intuitive_slot_decode(e, 3, p, tf)
+        intent = inter.intuitive_intent_decode(e, 3, p, tf)
+        assert np.array_equal(slot.y.values, intent.y.values)
 
     def test_rational_input_width(self):
         rng = Rng(7)
@@ -78,26 +87,22 @@ class TestDecoders:
 
     def test_rational_depends_on_intuitive_output(self):
         rng = Rng(8)
-        e = make_e_steps(rng, 3, 2, 4)
+        e = make_e(rng, 3, 2, 4)
         p = inter.init_decoder(3 + 2 + 4, 5, 3, rng)
         tf = inter.disabled_teacher_forcing()
-        y_op = [ad.constant(rng.uniform(0, 1, (2, 2))) for _ in range(3)]
-        res_a = inter.rational_intent_decode(e, y_op, p, tf)
-        zeroed = [ad.constant(np.zeros((2, 2))) for _ in range(3)]
-        res_b = inter.rational_intent_decode(e, zeroed, p, tf)
-        moved = max(np.abs(a.values - b.values).max()
-                    for a, b in zip(res_a.y_steps, res_b.y_steps))
-        assert moved > 0.0
+        y_op = ad.constant(rng.uniform(0, 1, (6, 2)))
+        res_a = inter.rational_intent_decode(e, 3, y_op, p, tf)
+        res_b = inter.rational_intent_decode(e, 3, ad.constant(np.zeros((6, 2))), p, tf)
+        assert np.abs(res_a.y.values - res_b.y.values).max() > 0.0
 
     def test_eval_decode_is_deterministic(self):
         rng = Rng(9)
-        e = make_e_steps(rng, 3, 2, 4)
+        e = make_e(rng, 3, 2, 4)
         p = inter.init_decoder(3 + 4, 5, 3, rng)
         tf = inter.disabled_teacher_forcing()
-        a = inter.intuitive_slot_decode(e, p, tf)
-        b = inter.intuitive_slot_decode(e, p, tf)
-        for ya, yb in zip(a.y_steps, b.y_steps):
-            assert np.array_equal(ya.values, yb.values)
+        a = inter.intuitive_slot_decode(e, 3, p, tf)
+        b = inter.intuitive_slot_decode(e, 3, p, tf)
+        assert np.array_equal(a.y.values, b.y.values)
 
     def test_gradient_through_three_token_decode(self):
         rng = Rng(10)
@@ -106,10 +111,8 @@ class TestDecoders:
         gold = np.array([0, 2, 1])
 
         def f():
-            steps = [ad.slice_rows(e_param, t, t + 1) for t in range(3)]
-            res = inter.intuitive_slot_decode(steps, p, inter.disabled_teacher_forcing())
-            y = ad.concat(res.y_steps, axis=0)
-            return ad.neg(ad.sum_all(ad.log(ad.pick_cols(y, gold))))
+            res = inter.intuitive_slot_decode(e_param, 3, p, inter.disabled_teacher_forcing())
+            return ad.neg(ad.sum_all(ad.log(ad.pick_cols(res.y, gold))))
 
         err = ad.grad_check(f, [e_param, p.cell.w_x, p.cell.w_h, p.cell.b, p.proj], 1e-4)
         assert err <= 1e-5
@@ -118,15 +121,13 @@ class TestDecoders:
         rng = Rng(11)
         e_param = ad.parameter(rng.uniform(-1, 1, (3, 4)))
         p = inter.init_decoder(2 + 4, 5, 2, rng)
-        gold = [np.eye(2)[[1]], np.eye(2)[[0]], np.eye(2)[[1]]]
+        gold = np.vstack([np.eye(2)[[1]], np.eye(2)[[0]], np.eye(2)[[1]]])
         gold_ids = np.array([1, 0, 1])
 
         def f():
-            steps = [ad.slice_rows(e_param, t, t + 1) for t in range(3)]
-            tf = inter.TeacherForcing(rate=1.0, rng=Rng(12), gold_steps=gold)
-            res = inter.intuitive_slot_decode(steps, p, tf)
-            y = ad.concat(res.y_steps, axis=0)
-            return ad.neg(ad.sum_all(ad.log(ad.pick_cols(y, gold_ids))))
+            tf = inter.TeacherForcing(rate=1.0, rng=Rng(12), gold=gold)
+            res = inter.intuitive_slot_decode(e_param, 3, p, tf)
+            return ad.neg(ad.sum_all(ad.log(ad.pick_cols(res.y, gold_ids))))
 
         assert ad.grad_check(f, [e_param, p.cell.w_x, p.proj], 1e-4) <= 1e-5
 
@@ -134,12 +135,12 @@ class TestDecoders:
 class TestGoldOnehots:
     def test_slot_onehots_with_sentinel(self):
         ids = np.array([[0, 2, -1], [1, -1, -1]])
-        steps = inter.slot_gold_onehots(ids, 3)
-        assert np.array_equal(steps[0], [[1, 0, 0], [0, 1, 0]])
-        assert np.array_equal(steps[2], np.zeros((2, 3)))
+        oh = inter.slot_gold_onehots(ids, 3)          # time-major [T*B, 3]
+        assert np.array_equal(oh[0:2], [[1, 0, 0], [0, 1, 0]])
+        assert np.array_equal(oh[4:6], np.zeros((2, 3)))
 
     def test_intent_onehots_repeat(self):
-        steps = inter.intent_gold_onehots(np.array([1, 0]), 2, T=3)
-        assert len(steps) == 3
-        assert np.array_equal(steps[0], [[0, 1], [1, 0]])
-        assert steps[0] is steps[2]
+        oh = inter.intent_gold_onehots(np.array([1, 0]), 2, T=3)
+        assert oh.shape == (6, 2)
+        assert np.array_equal(oh[0:2], [[0, 1], [1, 0]])
+        assert np.array_equal(oh[0:2], oh[4:6])

@@ -58,8 +58,7 @@ class TestAblationStructure:
         a = tiny_model(vocab, seed=3).forward(batch)
         b = tiny_model(vocab, seed=3, flags=AblationFlags()).forward(batch)
         assert np.array_equal(a.y_intent.values, b.y_intent.values)
-        for ya, yb in zip(a.y_slot_steps, b.y_slot_steps):
-            assert np.array_equal(ya.values, yb.values)
+        assert np.array_equal(a.y_slot.values, b.y_slot.values)
 
     @pytest.mark.parametrize("flags", [
         AblationFlags(),
@@ -84,8 +83,7 @@ class TestForward:
         batch = dat.pad_batch(corpus.train[:5], vocab)
         result = model.forward(batch)
         assert np.abs(result.y_intent.values.sum(axis=1) - 1).max() <= 1e-12
-        for y in result.y_slot_steps:
-            assert np.abs(y.values.sum(axis=1) - 1).max() <= 1e-12
+        assert np.abs(result.y_slot.values.sum(axis=1) - 1).max() <= 1e-12
         assert result.slot_predictions().shape == batch.token_ids.shape
 
     def test_eval_forward_is_deterministic(self, small_synth):
@@ -95,8 +93,7 @@ class TestForward:
         a = model.forward(batch)
         b = model.forward(batch)
         assert np.array_equal(a.y_intent.values, b.y_intent.values)
-        for ya, yb in zip(a.y_slot_steps, b.y_slot_steps):
-            assert np.array_equal(ya.values, yb.values)
+        assert np.array_equal(a.y_slot.values, b.y_slot.values)
 
     def test_padding_invariance_of_loss(self, small_synth):
         corpus, vocab = small_synth
@@ -132,9 +129,24 @@ class TestForward:
         batch = dat.pad_batch(corpus.train[:4], vocab)
         free = model.forward(batch, training=True, tf_rate=0.0)
         forced = model.forward(batch, training=True, tf_rate=1.0, tf_rng=Rng(0))
-        diff = max(np.abs(a.values - b.values).max()
-                   for a, b in zip(free.y_slot_steps, forced.y_slot_steps))
+        diff = np.abs(free.y_slot.values - forced.y_slot.values).max()
         assert diff > 0
+
+    def test_training_step_node_budget(self):
+        # one recorded node per LSTM scan and one pass of the cooperation
+        # layer and losses over all rows; 1448 nodes when each step was recorded
+        corpus = dat.generate_synthetic(dat.SynthSpec(train_samples=64, seed=5))
+        vocab = dat.build_vocabs(corpus)
+        samples = sorted(corpus.train, key=lambda s: -len(s.tokens))[:16]
+        batch = dat.pad_batch(samples, vocab)
+        assert batch.token_ids.shape == (16, 9)
+        model = tiny_model(vocab)
+        with Tape() as tape:
+            result = model.forward(batch, training=True, tf_rate=0.9, tf_rng=Rng(0),
+                                   dropout_rate=0.1, dropout_rng=Rng(1))
+            tr.batch_loss(result, batch, 0.5)
+        assert len(tape.nodes) <= 289
+        assert sum(n.name == "lstm_scan" for n in tape.nodes) == 6
 
     def test_full_model_gradient_matches_fd(self, tiny_corpus):
         corpus, vocab = tiny_corpus

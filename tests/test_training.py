@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,8 @@ from jointslu.training import Adam, TrainConfig, TrainingDiverged
 
 
 def dist_steps(rows_per_step):
-    return [ad.constant(np.asarray(r)) for r in rows_per_step]
+    """Time-major [T*B, K] distributions from the per-step [B, K] rows."""
+    return ad.constant(np.vstack([np.asarray(r) for r in rows_per_step]))
 
 
 class TestSlotLoss:
@@ -138,6 +142,24 @@ class TestAdam:
         Adam([("p", p)], lr=0.01, l2_decay=0.1).step()
         assert p.values[0] < 1.0
 
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    def test_one_step_matches_textbook(self, l2):
+        rng = Rng(40)
+        values = rng.uniform(-1, 1, (3, 4))
+        grad = rng.uniform(-1, 1, (3, 4))
+        p = ad.parameter(values.copy())
+        q = ad.parameter(rng.uniform(-1, 1, 5))     # a second, smaller parameter
+        p.grad[:] = grad
+        q.grad[:] = 1.0
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        Adam([("p", p), ("q", q)], lr=lr, l2_decay=l2).step()
+        g = grad + l2 * values
+        m = (1 - b1) * g
+        v = (1 - b2) * g * g
+        want = values - lr * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + eps)
+        assert np.abs(p.values - want).max() <= 1e-12
+        assert np.array_equal(p.grad, grad), "the optimizer wrote into a gradient"
+
     def test_frozen_row_stays_zero(self):
         p = ad.parameter(np.ones((3, 2)))
         p.values[0, :] = 0.0
@@ -227,6 +249,28 @@ class TestTrainLoop:
         for r in result.history:
             best = max(best, r.dev_report.sentence_accuracy)
         assert result.best_dev_accuracy == best
+
+
+class TestTapeLifetime:
+    def test_step_tape_freed_without_garbage_collection(self, small_synth):
+        # tensors hold their tape weakly, so a step's tape (and the activations
+        # its nodes keep for backward) goes as soon as the step's names do
+        corpus, vocab = small_synth
+        model = tiny_model(vocab)
+        batch = dat.pad_batch(corpus.train[:8], vocab)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                result = model.forward(batch, training=True, tf_rate=0.9, tf_rng=Rng(0),
+                                       dropout_rate=0.1, dropout_rng=Rng(1))
+                loss = tr.batch_loss(result, batch, 0.5)
+                ad.backward(loss)
+            freed = weakref.ref(tape)
+            assert loss.tape is tape
+            del tape, result, loss
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestCheckpoint:
