@@ -16,7 +16,7 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "Rng", "ShapeError",
-    "constant", "parameter", "zeros",
+    "constant", "parameter",
     "matmul", "matmul_nt", "linear", "elementwise", "add", "sub", "mul",
     "concat", "activation", "sigmoid", "tanh", "softmax", "masked_softmax",
     "dropout", "exp", "log", "absolute", "neg", "scale",
@@ -35,7 +35,9 @@ class Tensor:
 
     Leaf tensors (parameters, constants) have ``tape_id is None``; tensors
     produced by a recorded operation remember the tape and their node index.
-    The gradient buffer reads as all-zero until something accumulates into it.
+    Backward accumulates into the gradient buffers of leaves only; the buffer
+    reads as all-zero until something accumulates into it, so an intermediate
+    tensor's ``grad`` stays zero.
     """
 
     __slots__ = ("values", "_grad", "requires_grad", "_tape", "tape_id")
@@ -67,9 +69,11 @@ class Tensor:
             self._grad = np.zeros_like(self.values)
         return self._grad
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` into the gradient buffer. With ``owned`` the caller hands
+        ``g`` over, so a first gradient is adopted instead of copied."""
         if self._grad is None:
-            self._grad = g.copy()
+            self._grad = g if owned else g.copy()
         else:
             self._grad += g
 
@@ -93,10 +97,6 @@ def parameter(values) -> Tensor:
     """A trainable leaf. A float64 array is adopted, not copied, so the caller
     hands it over (initializers pass freshly drawn arrays)."""
     return Tensor(values, requires_grad=True)
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
 
 
 class _Node:
@@ -142,12 +142,15 @@ class Tape:
             if g is None:
                 continue
             node = nodes[idx]
-            node.out.accumulate_grad(g)
-            for inp, gin in zip(node.inputs, node.backward(g)):
+            grads = node.backward(g)
+            for inp, gin in zip(node.inputs, grads):
                 if gin is None or not inp.requires_grad:
                     continue
                 if inp.tape_id is None:
-                    inp.accumulate_grad(gin)
+                    # A fresh array (not a view, not the incoming adjoint, not
+                    # also returned for another input) has no other owner.
+                    inp.accumulate_grad(gin, owned=gin is not g and gin.base is None
+                                        and sum(o is gin for o in grads) == 1)
                 else:
                     prev = adjoint[inp.tape_id]
                     adjoint[inp.tape_id] = gin if prev is None else prev + gin

@@ -84,6 +84,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             values[f.name] = cli_val
     cfg = RunConfig(**values)
     cfg.validate()
+    if cfg.emb_dim < 1 or cfg.hidden < 1:
+        raise ValueError(f"emb_dim and hidden must be >= 1, got {cfg.emb_dim} and {cfg.hidden}")
     return cfg
 
 
@@ -181,7 +183,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ValueError("empty input utterance")
     ckpt = tr.load_checkpoint(args.checkpoint)
     model = ckpt.build_model()
-    sample = dat.Sample(tokens=tokens, slot_tags=["O"] * len(tokens),
+    # placeholder gold labels from the checkpoint's own vocabulary; an
+    # unrecorded forward does not read them
+    sample = dat.Sample(tokens=tokens, slot_tags=[ckpt.vocab.slot_tags[0]] * len(tokens),
                         intent=ckpt.vocab.intents[0])
     batch = dat.pad_batch([sample], ckpt.vocab)
     result = model.forward(batch, training=False)

@@ -9,8 +9,10 @@ sentence accuracy, and aborts on a non-finite loss instead of skipping.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -95,18 +97,29 @@ def batch_loss(result: ForwardResult, batch: UtteranceBatch, lam: float) -> Tens
                       intent_loss(result.y_intent, batch.intent_ids), lam)
 
 
+# Elements per Adam update block: a block of each of the parameter, its
+# gradient, both moments and the two scratch buffers (6 x 256 KiB) stays in L2.
+_ADAM_BLOCK = 32768
+
+
 class Adam:
     """Adam with bias correction; L2 decay is added to the raw gradient before
     the moment updates. Rows listed in ``frozen_rows`` (the pad embedding row)
     are re-zeroed after every step.
 
-    The update arithmetic runs in two scratch buffers sized for the largest
-    parameter, in the same order of operations as the textbook expression, and
-    never writes into a gradient buffer."""
+    The update walks each parameter's flat view in blocks of ``_ADAM_BLOCK``
+    elements and runs the whole elementwise update on one block before the
+    next, through two block-sized scratch buffers. The order of operations is
+    the textbook expression's, so the result does not depend on the blocking,
+    and no gradient buffer is written."""
 
     def __init__(self, params: list[tuple[str, Tensor]], lr: float, l2_decay: float = 0.0,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  frozen_rows: list[tuple[Tensor, int]] | None = None):
+        for name, t in params:
+            if not t.values.flags.c_contiguous:
+                raise ValueError(f"Adam updates parameters in place through flat views; "
+                                 f"{name} is not C-contiguous")
         self.params = params
         self.lr = lr
         self.l2_decay = l2_decay
@@ -115,8 +128,7 @@ class Adam:
         self.m = {name: np.zeros(t.values.shape) for name, t in params}
         self.v = {name: np.zeros(t.values.shape) for name, t in params}
         self.frozen_rows = frozen_rows or []
-        size = max((t.values.size for _, t in params), default=0)
-        self._scratch = (np.empty(size), np.empty(size))
+        self._scratch = (np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK))
 
     def step(self) -> None:
         self.step_count += 1
@@ -124,29 +136,33 @@ class Adam:
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
         for name, p in self.params:
-            g = p.grad
-            s1, s2 = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
-            if self.l2_decay:
-                np.multiply(p.values, self.l2_decay, out=s1)
-                g = np.add(g, s1, out=s1)
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=s2)
-            v *= self.beta2
-            np.multiply(g, g, out=s2)
-            s2 *= 1.0 - self.beta2
-            v += s2
-            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            step = np.divide(m, bc1, out=s1)
-            step *= self.lr
-            denom = np.divide(v, bc2, out=s2)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            step /= denom
-            p.values -= step
+            flat = (p.values.reshape(-1), p.grad.reshape(-1),
+                    self.m[name].reshape(-1), self.v[name].reshape(-1))
+            for lo in range(0, p.values.size, _ADAM_BLOCK):
+                self._update(*(a[lo:lo + _ADAM_BLOCK] for a in flat), bc1, bc2)
         for tensor, row in self.frozen_rows:
             tensor.values[row, :] = 0.0
+
+    def _update(self, p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
+                bc1: float, bc2: float) -> None:
+        s1, s2 = (buf[:g.size] for buf in self._scratch)
+        if self.l2_decay:
+            np.multiply(p, self.l2_decay, out=s1)
+            g = np.add(g, s1, out=s1)
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=s2)
+        v *= self.beta2
+        np.multiply(g, g, out=s2)
+        s2 *= 1.0 - self.beta2
+        v += s2
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        step = np.divide(m, bc1, out=s1)
+        step *= self.lr
+        denom = np.divide(v, bc2, out=s2)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        p -= step
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -265,6 +281,8 @@ _MAGIC = b"SLUCKPT1"
 
 
 def save_checkpoint(path: str, model: JointModel, config: dict, vocab: Vocab) -> None:
+    """Write the checkpoint to a temporary file beside ``path`` and move it
+    into place, so a reader sees the old file or the whole new one."""
     header = {
         "config": config,
         "dims": asdict(model.dims),
@@ -274,19 +292,25 @@ def save_checkpoint(path: str, model: JointModel, config: dict, vocab: Vocab) ->
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     items = model.parameters(active_only=True)
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<Q", len(header_bytes)))
-        f.write(header_bytes)
-        f.write(struct.pack("<I", len(items)))
-        for name, tensor in items:
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            arr = np.ascontiguousarray(tensor.values, dtype=np.float64)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            f.write(arr.tobytes())
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<Q", len(header_bytes)))
+            f.write(header_bytes)
+            f.write(struct.pack("<I", len(items)))
+            for name, tensor in items:
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<H", len(encoded)))
+                f.write(encoded)
+                arr = np.ascontiguousarray(tensor.values, dtype=np.float64)
+                f.write(struct.pack("<B", arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+                f.write(arr.tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 @dataclass
@@ -304,28 +328,66 @@ class Checkpoint:
         return model
 
 
+def _parse_header(raw: bytes, path: str) -> tuple[dict, ModelDims, AblationFlags, Vocab]:
+    """The header's config, dims, flags and vocabulary, checked for the fields,
+    types and sizes that building a model relies on."""
+    def corrupt(why: str) -> ValueError:
+        return ValueError(f"{path}: corrupt checkpoint header: {why}")
+
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as e:
+        raise corrupt(str(e)) from None
+    parts = [header.get(k) if isinstance(header, dict) else None
+             for k in ("config", "dims", "flags", "vocab")]
+    if not all(isinstance(part, dict) for part in parts):
+        raise corrupt("expected the objects config, dims, flags and vocab")
+    config, dims, flags, vocab = parts
+    if type(config.get("seed", 0)) is not int:
+        raise corrupt(f"seed {config['seed']!r} is not an integer")
+    if (set(dims) != {f.name for f in fields(ModelDims)}
+            or not all(type(n) is int and n >= 1 for n in dims.values())):
+        raise corrupt(f"dims {dims} are not one positive integer per model dimension")
+    if (set(flags) != {f.name for f in fields(AblationFlags)}
+            or not all(type(b) is bool for b in flags.values())):
+        raise corrupt(f"flags {flags} are not one boolean per ablation flag")
+    lists = [vocab.get(k) for k in ("words", "slot_tags", "intents")]
+    if not all(isinstance(xs, list) and all(isinstance(x, str) for x in xs) for xs in lists):
+        raise corrupt("vocab needs string lists words, slot_tags and intents")
+    if [len(xs) for xs in lists] != [dims["vocab_size"], dims["n_slots"], dims["n_intents"]]:
+        raise corrupt("vocabulary sizes do not match dims")
+    return config, ModelDims(**dims), AblationFlags(**flags), Vocab(*lists)
+
+
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint. Every length field is checked against the bytes left
+    in the file before it is used, so a truncated or corrupt file raises a
+    ValueError naming the file and nothing is allocated from a bad length."""
     with open(path, "rb") as f:
-        magic = f.read(len(_MAGIC))
+        left = os.fstat(f.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            nonlocal left
+            if n > left:
+                raise ValueError(f"{path}: truncated or corrupt checkpoint: {what} needs "
+                                 f"{n} bytes, {left} left in the file")
+            left -= n
+            return f.read(n)
+
+        magic = read(len(_MAGIC), "the magic")
         if magic != _MAGIC:
             raise ValueError(f"{path} is not a checkpoint file (bad magic {magic!r})")
-        (header_len,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(header_len).decode("utf-8"))
-        (n_items,) = struct.unpack("<I", f.read(4))
+        (header_len,) = struct.unpack("<Q", read(8, "the header length"))
+        config, dims, flags, vocab = _parse_header(read(header_len, "the header"), path)
+        (n_items,) = struct.unpack("<I", read(4, "the tensor count"))
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(n_items):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}Q", f.read(8 * ndim))
-            count = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(f.read(8 * count), dtype="<f8").reshape(shape).copy()
-            tensors[name] = arr
-    v = header["vocab"]
-    return Checkpoint(
-        config=header["config"],
-        dims=ModelDims(**header["dims"]),
-        flags=AblationFlags(**header["flags"]),
-        vocab=Vocab(words=v["words"], slot_tags=v["slot_tags"], intents=v["intents"]),
-        tensors=tensors,
-    )
+        for i in range(n_items):
+            (name_len,) = struct.unpack("<H", read(2, f"the name length of tensor {i}"))
+            name = read(name_len, f"the name of tensor {i}").decode("utf-8", "replace")
+            (ndim,) = struct.unpack("<B", read(1, f"the rank of {name!r}"))
+            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim, f"the shape of {name!r}"))
+            data = read(8 * math.prod(shape), f"the values of {name!r}")
+            tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        if left:
+            raise ValueError(f"{path}: corrupt checkpoint: {left} bytes after the last tensor")
+    return Checkpoint(config=config, dims=dims, flags=flags, vocab=vocab, tensors=tensors)

@@ -247,6 +247,62 @@ class TestBackward:
             ad.backward(ad.constant([1.0]))
 
 
+class TestLeafGradients:
+    """Backward adopts a leaf's first gradient without copying it only when no
+    other tensor, adjoint or view can reach that array."""
+
+    def test_intermediate_grad_stays_zero(self):
+        x = param([1.0, 2.0])
+        with Tape():
+            y = ad.mul(x, x)
+            ad.backward(ad.sum_all(y))
+        assert np.array_equal(x.grad, [2.0, 4.0])
+        assert not y.grad.any()
+
+    def test_add_same_leaf_twice(self):
+        p = param([1.0, 2.0])
+        with Tape():
+            ad.backward(ad.sum_all(ad.mul(ad.add(p, p), ad.constant([3.0, 5.0]))))
+        assert np.array_equal(p.grad, [6.0, 10.0])
+
+    def test_add_two_leaves_do_not_share(self):
+        p, q = param([1.0, 2.0]), param([3.0, 4.0])
+        with Tape():
+            ad.backward(ad.sum_all(ad.mul(ad.add(p, q), ad.constant([3.0, 5.0]))))
+        p.grad[:] += 100.0
+        assert np.array_equal(q.grad, [3.0, 5.0])
+
+    def test_leaf_read_by_two_nodes(self):
+        # scalar_add passes its incoming adjoint to p, and that adjoint is
+        # also h's; scale(p, 5) adds into p's gradient before h's node reads it
+        p, q = param([1.0, 2.0]), param([0.5, 0.5])
+        with Tape():
+            h = ad.scale(q, 3.0)
+            z = ad.scale(p, 5.0)
+            y = ad.add(ad.add(ad.scalar_add(p, ad.constant([0.0])), h), z)
+            ad.backward(ad.sum_all(ad.mul(y, ad.constant([3.0, 5.0]))))
+        assert np.array_equal(p.grad, [18.0, 30.0])
+        assert np.array_equal(q.grad, [9.0, 15.0])
+
+    def test_leaf_reached_only_through_concat(self):
+        p, q = param([[1.0, 2.0]]), param([[3.0]])
+        with Tape():
+            c = ad.concat([p, q], axis=1)
+            ad.backward(ad.sum_all(ad.mul(c, ad.constant([[3.0, 5.0, 7.0]]))))
+        assert np.array_equal(p.grad, [[3.0, 5.0]])
+        assert np.array_equal(q.grad, [[7.0]])
+        assert p.grad.flags.owndata and q.grad.flags.owndata
+
+    def test_one_array_returned_for_two_leaves(self):
+        p, q = param([1.0]), param([2.0])
+        with Tape():
+            both = ad._record("pair", p.values + q.values, (p, q),
+                              lambda g: (lambda d: (d, d))(g * 2.0))
+            ad.backward(ad.sum_all(both))
+        p.grad[:] = 7.0
+        assert np.array_equal(q.grad, [2.0])
+
+
 class TestGradCheck:
     def test_square(self):
         x = param([3.0])

@@ -1,7 +1,12 @@
+import io
 import os
+import struct
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointslu import autodiff as ad
 from jointslu import cli
@@ -84,6 +89,14 @@ class TestTrain:
         assert run(["train", "--data", str(synth_dir), "--out", str(out),
                     "--dropout-rate", "1.0"]) == 1
         assert "error: dropout_rate" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--emb-dim", "0"), ("--hidden", "-1")])
+    def test_nonpositive_dims_rejected_before_output(self, synth_dir, tmp_path, capsys,
+                                                     flag, value):
+        out = tmp_path / "out"
+        assert run(["train", "--data", str(synth_dir), "--out", str(out), flag, value]) == 1
+        assert capsys.readouterr().err.startswith("error: emb_dim and hidden must be >= 1")
         assert not out.exists()
 
     def test_missing_data_dir_fails(self, tmp_path):
@@ -207,6 +220,69 @@ class TestPredict:
         assert run(["predict", "--checkpoint", str(out / "checkpoint.bin"),
                     "--text", "   "]) == 1
         assert "empty" in capsys.readouterr().err
+
+
+def structural_offsets(data: bytes) -> list[int]:
+    """Byte offsets of the magic, every length field and every tensor name of
+    a checkpoint file: a change to any of them must be detected."""
+    offsets = list(range(16))
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    pos = 16 + header_len
+    offsets += range(pos, pos + 4)
+    (n_items,) = struct.unpack("<I", data[pos:pos + 4])
+    pos += 4
+    for _ in range(n_items):
+        (name_len,) = struct.unpack("<H", data[pos:pos + 2])
+        ndim = data[pos + 2 + name_len]
+        fields_end = pos + 3 + name_len + 8 * ndim
+        shape = struct.unpack(f"<{ndim}Q", data[pos + 3 + name_len:fields_end])
+        offsets += range(pos, fields_end)
+        pos = fields_end + 8 * int(np.prod(shape))
+    assert pos == len(data)
+    return offsets
+
+
+class TestCorruptCheckpoint:
+    @staticmethod
+    def predict(trained_dir, data: bytes) -> tuple[int, str]:
+        path = trained_dir[0] / "corrupt.bin"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["predict", "--checkpoint", str(path), "--text", "w0 w1"])
+        err = err.getvalue()
+        if code == 0:
+            assert err == "" and out.getvalue().startswith("tags = ")
+        else:
+            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+        return code, err
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncated_checkpoint_fails_cleanly(self, trained_dir, data):
+        good = (trained_dir[0] / "checkpoint.bin").read_bytes()
+        cut = data.draw(st.integers(0, len(good) - 1))
+        code, err = self.predict(trained_dir, good[:cut])
+        assert code == 1 and "corrupt.bin" in err
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_flipped_length_or_name_fails_cleanly(self, trained_dir, data):
+        good = (trained_dir[0] / "checkpoint.bin").read_bytes()
+        pos = data.draw(st.sampled_from(structural_offsets(good)))
+        flipped = bytearray(good)
+        flipped[pos] ^= data.draw(st.integers(1, 255))
+        assert self.predict(trained_dir, bytes(flipped))[0] == 1
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_flipped_byte_never_raises(self, trained_dir, data):
+        # a flip in the tensor values or in vocabulary text can load cleanly
+        good = (trained_dir[0] / "checkpoint.bin").read_bytes()
+        flipped = bytearray(good)
+        flipped[data.draw(st.integers(0, len(good) - 1))] ^= data.draw(st.integers(1, 255))
+        with np.errstate(all="ignore"):
+            self.predict(trained_dir, bytes(flipped))
 
 
 class TestGradcheckCommand:

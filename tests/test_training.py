@@ -1,4 +1,7 @@
 import gc
+import os
+import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -160,6 +163,45 @@ class TestAdam:
         assert np.abs(p.values - want).max() <= 1e-12
         assert np.array_equal(p.grad, grad), "the optimizer wrote into a gradient"
 
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    def test_blocked_update_equals_whole_array_update(self, l2):
+        # the textbook update over whole arrays, in the same order of operations
+        def whole_array_step(values, grad, m, v, t, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
+            g = np.add(grad, np.multiply(values, l2)) if l2 else grad
+            m *= b1
+            m += np.multiply(g, 1.0 - b1)
+            v *= b2
+            g2 = np.multiply(g, g)
+            g2 *= 1.0 - b2
+            v += g2
+            step = np.divide(m, 1.0 - b1 ** t)
+            step *= lr
+            denom = np.sqrt(np.divide(v, 1.0 - b2 ** t))
+            denom += eps
+            step /= denom
+            values -= step
+
+        rng = Rng(41)
+        shapes = {"big": (2 * tr._ADAM_BLOCK + 17,), "small": (5, 3)}
+        params = {n: ad.parameter(rng.uniform(-1, 1, s)) for n, s in shapes.items()}
+        params["small"].values[0] = 0.0
+        ref = {n: [p.values.copy(), np.zeros(s), np.zeros(s)]
+               for (n, p), s in zip(params.items(), shapes.values())}
+        opt = Adam(list(params.items()), lr=0.01, l2_decay=l2,
+                   frozen_rows=[(params["small"], 0)])
+        for t in range(1, 4):
+            grads = {n: rng.uniform(-1, 1, s) for n, s in shapes.items()}
+            for n, p in params.items():
+                p.zero_grad()
+                p.grad[...] = grads[n]
+                values, m, v = ref[n]
+                whole_array_step(values, grads[n].copy(), m, v, t)
+            ref["small"][0][0] = 0.0
+            opt.step()
+            for n, p in params.items():
+                assert np.array_equal(p.values, ref[n][0]), f"{n} at step {t}"
+                assert np.array_equal(p.grad, grads[n]), "the optimizer wrote into a gradient"
+
     def test_frozen_row_stays_zero(self):
         p = ad.parameter(np.ones((3, 2)))
         p.values[0, :] = 0.0
@@ -301,6 +343,69 @@ class TestCheckpoint:
         assert not any(n.startswith("coop.") for n in ckpt.tensors)
         rebuilt = ckpt.build_model()
         assert rebuilt.flags.intent2slot is False
+
+    @staticmethod
+    def saved(tmp_path, small_synth) -> bytes:
+        _, vocab = small_synth
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(str(path), tiny_model(vocab), {"seed": 11}, vocab)
+        return path.read_bytes()
+
+    def test_huge_header_length_rejected_before_reading(self, tmp_path, small_synth):
+        data = bytearray(self.saved(tmp_path, small_synth))
+        data[8:16] = struct.pack("<Q", 10 ** 12)
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated or corrupt") as info:
+                tr.load_checkpoint(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(path) in str(info.value)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("cut", [1, 13, 8 * 3 + 1])
+    def test_truncated_file_names_the_file(self, tmp_path, small_synth, cut):
+        data = self.saved(tmp_path, small_synth)
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(data[:-cut])
+        with pytest.raises(ValueError, match="truncated or corrupt") as info:
+            tr.load_checkpoint(str(path))
+        assert str(path) in str(info.value)
+
+    def test_trailing_bytes_rejected(self, tmp_path, small_synth):
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(self.saved(tmp_path, small_synth) + b"\0")
+        with pytest.raises(ValueError, match="1 bytes after the last tensor"):
+            tr.load_checkpoint(str(path))
+
+    def test_header_with_wrong_fields_rejected(self, tmp_path, small_synth):
+        data = self.saved(tmp_path, small_synth)
+        (header_len,) = struct.unpack("<Q", data[8:16])
+        header = data[16:16 + header_len].replace(b'"dims"', b'"eims"')
+        path = tmp_path / "renamed.ckpt"
+        path.write_bytes(data[:16] + header + data[16 + header_len:])
+        with pytest.raises(ValueError, match="corrupt checkpoint header"):
+            tr.load_checkpoint(str(path))
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, small_synth):
+        _, vocab = small_synth
+        model = tiny_model(vocab)
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(str(path), model, {"seed": 11}, vocab)
+        before = path.read_bytes()
+
+        class Unwritable:
+            values = ["not a number"]
+
+        items = model.parameters(active_only=True)
+        model.parameters = lambda active_only=True: items + [("bad", Unwritable())]
+        with pytest.raises(ValueError):
+            tr.save_checkpoint(str(path), model, {"seed": 11}, vocab)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
