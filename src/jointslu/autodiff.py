@@ -16,7 +16,7 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "Rng", "ShapeError",
-    "constant", "parameter",
+    "constant", "parameter", "uniform_parameter",
     "matmul", "matmul_nt", "linear", "elementwise", "add", "sub", "mul",
     "concat", "activation", "sigmoid", "tanh", "softmax", "masked_softmax",
     "dropout", "exp", "log", "absolute", "neg", "scale",
@@ -97,6 +97,13 @@ def parameter(values) -> Tensor:
     """A trainable leaf. A float64 array is adopted, not copied, so the caller
     hands it over (initializers pass freshly drawn arrays)."""
     return Tensor(values, requires_grad=True)
+
+
+def uniform_parameter(rng: Rng | None, bound: float, shape: tuple[int, ...]) -> Tensor:
+    """A trainable leaf drawn from U(-bound, bound), or all zeros when ``rng``
+    is None: the placeholder of a parameter whose values will be loaded. The
+    pages of ``np.zeros`` are not touched until written, so it costs nothing."""
+    return parameter(np.zeros(shape) if rng is None else rng.uniform(-bound, bound, shape))
 
 
 class _Node:

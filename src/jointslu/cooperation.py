@@ -30,12 +30,13 @@ class CooperationParams:
     intent_gate: MlpParams
 
 
-def init_mlp(width: int, rng: Rng) -> MlpParams:
+def init_mlp(width: int, rng: Rng | None) -> MlpParams:
+    """``rng=None`` gives all-zero weights, for a model whose values will be loaded."""
     bound = 1.0 / np.sqrt(width)
     return MlpParams(
-        w1=ad.parameter(rng.uniform(-bound, bound, (width, width))),
+        w1=ad.uniform_parameter(rng, bound, (width, width)),
         b1=ad.parameter(np.zeros(width)),
-        w2=ad.parameter(rng.uniform(-bound, bound, (width, width))),
+        w2=ad.uniform_parameter(rng, bound, (width, width)),
         b2=ad.parameter(np.zeros(width)),
     )
 

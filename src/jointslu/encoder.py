@@ -84,23 +84,30 @@ class EncoderOutput:
         return self.e.shape[1]
 
 
-def init_embedding(vocab_size: int, emb_dim: int, rng: Rng, pad_id: int = 0) -> EmbeddingTable:
-    bound = 1.0 / np.sqrt(emb_dim)
-    values = rng.uniform(-bound, bound, (vocab_size, emb_dim))
-    values[pad_id, :] = 0.0
-    return EmbeddingTable(table=ad.parameter(values), pad_id=pad_id)
+# The initializers take ``rng=None`` for a model whose values will be loaded:
+# every parameter is then all zeros and nothing is drawn.
+
+def init_embedding(vocab_size: int, emb_dim: int, rng: Rng | None,
+                   pad_id: int = 0) -> EmbeddingTable:
+    table = ad.uniform_parameter(rng, 1.0 / np.sqrt(emb_dim), (vocab_size, emb_dim))
+    table.values[pad_id, :] = 0.0
+    return EmbeddingTable(table=table, pad_id=pad_id)
 
 
-def init_lstm(input_size: int, hidden: int, rng: Rng) -> LstmParams:
+def init_lstm(input_size: int, hidden: int, rng: Rng | None) -> LstmParams:
     bound = 1.0 / np.sqrt(hidden)
-    w_x = ad.parameter(rng.uniform(-bound, bound, (4 * hidden, input_size)))
-    w_h = ad.parameter(rng.uniform(-bound, bound, (4 * hidden, hidden)))
+    w_x = ad.uniform_parameter(rng, bound, (4 * hidden, input_size))
+    w_h = ad.uniform_parameter(rng, bound, (4 * hidden, hidden))
     b = np.zeros(4 * hidden)
-    b[hidden: 2 * hidden] = 1.0
+    if rng is not None:
+        b[hidden: 2 * hidden] = 1.0
     return LstmParams(w_x=w_x, w_h=w_h, b=ad.parameter(b))
 
 
-def init_gaussian_attention() -> GaussianAttentionParams:
+def init_gaussian_attention(zeros: bool = False) -> GaussianAttentionParams:
+    if zeros:
+        return GaussianAttentionParams(w_raw=ad.parameter(np.zeros(1)),
+                                       b_raw=ad.parameter(np.zeros(1)))
     # b starts at -0.5 so |w*d^2 + b| has no kink at integer squared distances
     return GaussianAttentionParams(w_raw=ad.parameter([0.0]),
                                    b_raw=ad.parameter([np.log(0.5)]))

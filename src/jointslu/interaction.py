@@ -70,11 +70,12 @@ class DecodeResult:
     y: Tensor   # [T*B, n_labels], each row a distribution
 
 
-def init_decoder(input_size: int, hidden: int, n_labels: int, rng: Rng) -> DecoderParams:
-    bound = 1.0 / np.sqrt(hidden)
+def init_decoder(input_size: int, hidden: int, n_labels: int,
+                 rng: Rng | None) -> DecoderParams:
+    """``rng=None`` gives all-zero parameters, as ``init_lstm``."""
     return DecoderParams(
         cell=init_lstm(input_size, hidden, rng),
-        proj=ad.parameter(rng.uniform(-bound, bound, (n_labels, hidden))),
+        proj=ad.uniform_parameter(rng, 1.0 / np.sqrt(hidden), (n_labels, hidden)),
     )
 
 

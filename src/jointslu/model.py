@@ -73,9 +73,12 @@ class ForwardResult:
 
 
 class JointModel:
-    """Owns all parameters and runs the configured forward pass."""
+    """Owns all parameters and runs the configured forward pass.
 
-    def __init__(self, dims: ModelDims, flags: AblationFlags, rng: Rng):
+    With ``rng=None`` nothing is drawn: every parameter starts as all zeros,
+    for a model whose values ``load_values`` then supplies."""
+
+    def __init__(self, dims: ModelDims, flags: AblationFlags, rng: Rng | None):
         self.dims = dims
         self.flags = flags
         h, emb = dims.hidden, dims.emb_dim
@@ -85,7 +88,7 @@ class JointModel:
         self.embedding = enc.init_embedding(dims.vocab_size, emb, rng)
         self.enc_fwd = enc.init_lstm(emb, h, rng)
         self.enc_bwd = enc.init_lstm(emb, h, rng)
-        self.attention = enc.init_gaussian_attention()
+        self.attention = enc.init_gaussian_attention(zeros=rng is None)
         self.dec_slot_intuitive = inter.init_decoder(dims.n_slots + e_width, h, dims.n_slots, rng)
         self.dec_intent_rational = inter.init_decoder(
             dims.n_intents + dims.n_slots + e_width, h, dims.n_intents, rng)
@@ -95,8 +98,8 @@ class JointModel:
         self.coop = coop.CooperationParams(slot_gate=coop.init_mlp(h, rng),
                                            intent_gate=coop.init_mlp(h, rng))
         bound = 1.0 / np.sqrt(h)
-        self.head_slot = ad.parameter(rng.uniform(-bound, bound, (dims.n_slots, h)))
-        self.head_intent = ad.parameter(rng.uniform(-bound, bound, (dims.n_intents, h)))
+        self.head_slot = ad.uniform_parameter(rng, bound, (dims.n_slots, h))
+        self.head_intent = ad.uniform_parameter(rng, bound, (dims.n_intents, h))
 
         self.params: dict[str, Tensor] = {}
         self._register()
@@ -154,7 +157,11 @@ class JointModel:
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         """Load exactly the active parameters: a missing or an extra name is an
-        error, never a silently kept initial value."""
+        error, never a silently kept initial value.
+
+        Each array is adopted, not copied, so the model and ``values`` share
+        memory afterwards. It must be float64 and C-contiguous, since Adam
+        updates parameters in place through flat views."""
         active = self.active_param_names()
         missing = [n for n in active if n not in values]
         if missing:
@@ -168,7 +175,11 @@ class JointModel:
             if tensor.values.shape != arr.shape:
                 raise ValueError(f"shape mismatch for {name}: model {tensor.values.shape}, "
                                  f"loaded {arr.shape}")
-            tensor.values[...] = arr
+            if arr.dtype != np.float64 or not arr.flags.c_contiguous:
+                raise ValueError(f"{name} must be a C-contiguous float64 array, got {arr.dtype} "
+                                 f"(C-contiguous: {arr.flags.c_contiguous})")
+        for name, arr in values.items():
+            self.params[name].values = arr
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {n: t.values.copy() for n, t in self.parameters(active_only=True)}
@@ -230,5 +241,5 @@ class JointModel:
                              trace=trace, encoded=encoded, mask=batch.mask)
 
 
-def build_model(dims: ModelDims, flags: AblationFlags, rng: Rng) -> JointModel:
+def build_model(dims: ModelDims, flags: AblationFlags, rng: Rng | None) -> JointModel:
     return JointModel(dims, flags, rng)

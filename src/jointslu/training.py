@@ -221,6 +221,8 @@ def derive_streams(seed: int) -> tuple[Rng, Rng, Rng, Rng]:
 def evaluate_model(model: JointModel, samples: list[Sample], vocab: Vocab,
                    batch_size: int = 16) -> met.MetricsReport:
     """Deterministic evaluation: no dropout, no teacher forcing, no recording."""
+    if batch_size < 1:
+        raise ValueError(f"batch size must be >= 1, got {batch_size}")
     gold_intents, pred_intents, gold_tags, pred_tags = [], [], [], []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start: start + batch_size]
@@ -315,6 +317,7 @@ def save_checkpoint(path: str, model: JointModel, config: dict, vocab: Vocab) ->
 
 @dataclass
 class Checkpoint:
+    path: str
     config: dict
     dims: ModelDims
     flags: AblationFlags
@@ -322,8 +325,15 @@ class Checkpoint:
     tensors: dict[str, np.ndarray]
 
     def build_model(self) -> JointModel:
-        model = build_model(self.dims, self.flags, Rng(int(self.config.get("seed", 0))))
-        model.load_values(self.tensors)
+        """The model these tensors describe. Nothing is drawn: the model is
+        built all zeros and adopts the checkpoint's arrays without a copy, so
+        it shares memory with ``tensors``; inactive parameters stay zero. A
+        missing, extra or misshapen tensor raises a ValueError naming the file."""
+        model = build_model(self.dims, self.flags, rng=None)
+        try:
+            model.load_values(self.tensors)
+        except ValueError as e:
+            raise ValueError(f"{self.path}: checkpoint does not fit its model: {e}") from None
         model.embedding.zero_pad_row()
         return model
 
@@ -343,8 +353,6 @@ def _parse_header(raw: bytes, path: str) -> tuple[dict, ModelDims, AblationFlags
     if not all(isinstance(part, dict) for part in parts):
         raise corrupt("expected the objects config, dims, flags and vocab")
     config, dims, flags, vocab = parts
-    if type(config.get("seed", 0)) is not int:
-        raise corrupt(f"seed {config['seed']!r} is not an integer")
     if (set(dims) != {f.name for f in fields(ModelDims)}
             or not all(type(n) is int and n >= 1 for n in dims.values())):
         raise corrupt(f"dims {dims} are not one positive integer per model dimension")
@@ -362,17 +370,27 @@ def _parse_header(raw: bytes, path: str) -> tuple[dict, ModelDims, AblationFlags
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint. Every length field is checked against the bytes left
     in the file before it is used, so a truncated or corrupt file raises a
-    ValueError naming the file and nothing is allocated from a bad length."""
+    ValueError naming the file and nothing is allocated from a bad length.
+    Each tensor is read straight into its own fresh array."""
     with open(path, "rb") as f:
         left = os.fstat(f.fileno()).st_size
 
-        def read(n: int, what: str) -> bytes:
+        def truncated(what: str, n: int, got: int) -> ValueError:
+            return ValueError(f"{path}: truncated or corrupt checkpoint: {what} needs "
+                              f"{n} bytes, {got} left in the file")
+
+        def take(n: int, what: str) -> None:
             nonlocal left
             if n > left:
-                raise ValueError(f"{path}: truncated or corrupt checkpoint: {what} needs "
-                                 f"{n} bytes, {left} left in the file")
+                raise truncated(what, n, left)
             left -= n
-            return f.read(n)
+
+        def read(n: int, what: str) -> bytes:
+            take(n, what)
+            data = f.read(n)
+            if len(data) != n:
+                raise truncated(what, n, len(data))
+            return data
 
         magic = read(len(_MAGIC), "the magic")
         if magic != _MAGIC:
@@ -386,8 +404,19 @@ def load_checkpoint(path: str) -> Checkpoint:
             name = read(name_len, f"the name of tensor {i}").decode("utf-8", "replace")
             (ndim,) = struct.unpack("<B", read(1, f"the rank of {name!r}"))
             shape = struct.unpack(f"<{ndim}Q", read(8 * ndim, f"the shape of {name!r}"))
-            data = read(8 * math.prod(shape), f"the values of {name!r}")
-            tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            what = f"the values of {name!r}"
+            n = 8 * math.prod(shape)
+            take(n, what)
+            try:
+                arr = np.empty(shape, dtype="<f8")
+            except ValueError as e:    # e.g. a zero next to a huge dimension
+                raise ValueError(f"{path}: corrupt checkpoint: shape {shape} of {name!r}: "
+                                 f"{e}") from None
+            got = f.readinto(arr)
+            if got != n:
+                raise truncated(what, n, got)
+            tensors[name] = arr
         if left:
             raise ValueError(f"{path}: corrupt checkpoint: {left} bytes after the last tensor")
-    return Checkpoint(config=config, dims=dims, flags=flags, vocab=vocab, tensors=tensors)
+    return Checkpoint(path=path, config=config, dims=dims, flags=flags, vocab=vocab,
+                      tensors=tensors)

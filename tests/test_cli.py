@@ -166,6 +166,13 @@ class TestEvaluate:
                     "--data", str(corpus_dir), "--split", "train"]) == 0
         assert "sentence_accuracy = 1.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_batch_size_below_one_fails(self, trained_dir, synth_dir, capsys, size):
+        out, _ = trained_dir
+        assert run(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+                    "--data", str(synth_dir), "--batch-size", size]) == 1
+        assert capsys.readouterr().err == f"error: batch size must be >= 1, got {size}\n"
+
     def test_vocabulary_mismatch_fails(self, trained_dir, tmp_path, capsys):
         out, _ = trained_dir
         other = tmp_path / "corpus"
@@ -214,6 +221,7 @@ class TestPredict:
         assert run(["predict", "--checkpoint", str(bad), "--text", "w0 w1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err and "Traceback" not in err
+        assert str(bad) in err
 
     def test_empty_input_fails(self, trained_dir, capsys):
         out, _ = trained_dir
@@ -222,23 +230,32 @@ class TestPredict:
         assert "empty" in capsys.readouterr().err
 
 
+def tensor_records(data: bytes) -> list[tuple[int, bytes, tuple[int, ...]]]:
+    """(offset, name, shape) of every tensor record of a checkpoint file; a
+    record is a name length, the name, a rank, the shape and the values."""
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    pos = 16 + header_len
+    (n_items,) = struct.unpack("<I", data[pos:pos + 4])
+    pos += 4
+    records = []
+    for _ in range(n_items):
+        (name_len,) = struct.unpack("<H", data[pos:pos + 2])
+        name = data[pos + 2:pos + 2 + name_len]
+        ndim = data[pos + 2 + name_len]
+        shape = struct.unpack(f"<{ndim}Q", data[pos + 3 + name_len:pos + 3 + name_len + 8 * ndim])
+        records.append((pos, name, shape))
+        pos += 3 + name_len + 8 * ndim + 8 * int(np.prod(shape))
+    assert pos == len(data)
+    return records
+
+
 def structural_offsets(data: bytes) -> list[int]:
     """Byte offsets of the magic, every length field and every tensor name of
     a checkpoint file: a change to any of them must be detected."""
-    offsets = list(range(16))
     (header_len,) = struct.unpack("<Q", data[8:16])
-    pos = 16 + header_len
-    offsets += range(pos, pos + 4)
-    (n_items,) = struct.unpack("<I", data[pos:pos + 4])
-    pos += 4
-    for _ in range(n_items):
-        (name_len,) = struct.unpack("<H", data[pos:pos + 2])
-        ndim = data[pos + 2 + name_len]
-        fields_end = pos + 3 + name_len + 8 * ndim
-        shape = struct.unpack(f"<{ndim}Q", data[pos + 3 + name_len:fields_end])
-        offsets += range(pos, fields_end)
-        pos = fields_end + 8 * int(np.prod(shape))
-    assert pos == len(data)
+    offsets = [*range(16), *range(16 + header_len, 20 + header_len)]
+    for pos, name, shape in tensor_records(data):
+        offsets += range(pos, pos + 3 + len(name) + 8 * len(shape))
     return offsets
 
 
@@ -273,6 +290,30 @@ class TestCorruptCheckpoint:
         flipped = bytearray(good)
         flipped[pos] ^= data.draw(st.integers(1, 255))
         assert self.predict(trained_dir, bytes(flipped))[0] == 1
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_renamed_tensor_or_rewritten_shape_fails_cleanly(self, trained_dir, data):
+        good = (trained_dir[0] / "checkpoint.bin").read_bytes()
+        records = tensor_records(good)
+        pos, name, shape = data.draw(st.sampled_from(records))
+        if data.draw(st.booleans(), label="rename"):
+            new_name = data.draw(st.one_of(
+                st.sampled_from([n for _, n, _ in records]),
+                st.text(max_size=40).map(lambda t: t.encode("utf-8"))).filter(
+                    lambda n: n != name))
+            edited = (good[:pos] + struct.pack("<H", len(new_name)) + new_name
+                      + good[pos + 2 + len(name):])
+        else:
+            new_shape = data.draw(st.one_of(
+                st.just(shape[::-1]),
+                st.lists(st.integers(0, 2 ** 64 - 1), min_size=len(shape),
+                         max_size=len(shape)).map(tuple)).filter(lambda s: s != shape))
+            start = pos + 3 + len(name)
+            edited = (good[:start] + struct.pack(f"<{len(shape)}Q", *new_shape)
+                      + good[start + 8 * len(shape):])
+        code, err = self.predict(trained_dir, edited)
+        assert code == 1 and "corrupt.bin" in err
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)

@@ -162,3 +162,16 @@ class TestForward:
                 model.params["head.intent"], model.params["coop.slot_gate.b1"],
                 model.params["encoder.fwd.b"]]
         assert ad.grad_check(f, spot, 1e-4) <= 1e-4
+
+
+class TestLoadValues:
+    @pytest.mark.parametrize("bad", [lambda a: a.astype(np.float32), np.asfortranarray])
+    def test_rejects_arrays_adam_cannot_update_and_loads_nothing(self, small_synth, bad):
+        _, vocab = small_synth
+        model = tiny_model(vocab)
+        values = {n: v + 1.0 for n, v in model.snapshot().items()}
+        before = model.snapshot()
+        values["encoder.fwd.w_x"] = bad(values["encoder.fwd.w_x"])
+        with pytest.raises(ValueError, match="encoder.fwd.w_x must be a C-contiguous float64"):
+            model.load_values(values)
+        assert all(np.array_equal(model.params[n].values, v) for n, v in before.items())

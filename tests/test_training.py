@@ -1,4 +1,5 @@
 import gc
+import io
 import os
 import struct
 import tracemalloc
@@ -344,6 +345,46 @@ class TestCheckpoint:
         rebuilt = ckpt.build_model()
         assert rebuilt.flags.intent2slot is False
 
+    @pytest.mark.parametrize("flag", [None, "no_slot2intent", "no_intent2slot",
+                                      "no_gaussian_attention", "no_cooperation"])
+    def test_build_adopts_arrays_and_matches_a_seeded_build(self, tmp_path, small_synth, flag):
+        corpus, vocab = small_synth
+        model = tiny_model(vocab, flags=TrainConfig(**({flag: True} if flag else {})).flags())
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(str(path), model, {"seed": 11}, vocab)
+        ckpt = tr.load_checkpoint(str(path))
+        served = ckpt.build_model()
+        # oracle: a seeded random initialisation with the loaded values copied in
+        seeded = build_model(ckpt.dims, ckpt.flags, Rng(11))
+        for name, arr in ckpt.tensors.items():
+            seeded.params[name].values[...] = arr
+        seeded.embedding.zero_pad_row()
+        batch = dat.pad_batch(corpus.dev, vocab)
+        got, want = served.forward(batch), seeded.forward(batch)
+        assert got.y_slot.values.tobytes() == want.y_slot.values.tobytes()
+        assert got.y_intent.values.tobytes() == want.y_intent.values.tobytes()
+        active = served.active_param_names()
+        assert sorted(active) == sorted(ckpt.tensors)
+        for name, tensor in served.params.items():
+            if name in ckpt.tensors:
+                assert np.shares_memory(tensor.values, ckpt.tensors[name]), name
+            else:
+                assert not tensor.values.any(), name
+
+    def test_short_read_is_a_truncation(self, tmp_path, small_synth, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(self.saved(tmp_path, small_synth))
+
+        class ShortReads(io.BufferedReader):
+            def readinto(self, buffer):
+                return super().readinto(buffer) - 1
+
+        monkeypatch.setattr(tr, "open", lambda file, mode: ShortReads(io.FileIO(file, mode)),
+                            raising=False)
+        with pytest.raises(ValueError, match="truncated or corrupt") as info:
+            tr.load_checkpoint(str(path))
+        assert str(path) in str(info.value)
+
     @staticmethod
     def saved(tmp_path, small_synth) -> bytes:
         _, vocab = small_synth
@@ -372,6 +413,19 @@ class TestCheckpoint:
         path = tmp_path / "short.ckpt"
         path.write_bytes(data[:-cut])
         with pytest.raises(ValueError, match="truncated or corrupt") as info:
+            tr.load_checkpoint(str(path))
+        assert str(path) in str(info.value)
+
+    def test_unrepresentable_shape_names_the_file(self, tmp_path, small_synth):
+        data = self.saved(tmp_path, small_synth)
+        (header_len,) = struct.unpack("<Q", data[8:16])
+        (name_len,) = struct.unpack("<H", data[20 + header_len:22 + header_len])
+        shape_at = 23 + header_len + name_len
+        assert data[shape_at - 1] == 2    # the first tensor is a matrix
+        path = tmp_path / "shape.ckpt"
+        # 0 values to read, but no array can have this shape
+        path.write_bytes(data[:shape_at] + struct.pack("<2Q", 0, 2 ** 63) + data[shape_at + 16:])
+        with pytest.raises(ValueError, match="corrupt checkpoint: shape") as info:
             tr.load_checkpoint(str(path))
         assert str(path) in str(info.value)
 
