@@ -17,12 +17,11 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "Rng", "ShapeError",
     "constant", "parameter", "uniform_parameter",
-    "matmul", "matmul_nt", "linear", "elementwise", "add", "sub", "mul",
-    "concat", "activation", "sigmoid", "tanh", "softmax", "masked_softmax",
-    "dropout", "exp", "log", "absolute", "neg", "scale",
-    "scalar_mul", "scalar_add", "sum_all",
-    "take_rows", "slice_rows", "slice_cols", "pick_cols", "mask_rows",
-    "lstm_scan", "backward", "grad_check",
+    "matmul", "linear", "add", "sub", "mul",
+    "concat", "sigmoid", "tanh", "softmax",
+    "dropout", "exp", "log", "neg", "scale", "sum_all",
+    "take_rows", "slice_cols", "pick_cols", "mask_rows",
+    "lstm_scan", "gaussian_attention", "backward", "grad_check",
 ]
 
 
@@ -220,19 +219,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", av @ bv, (a, b), bk)
 
 
-def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b.T without materializing a transpose node."""
-    av, bv = a.values, b.values
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[1]:
-        raise ShapeError(f"matmul_nt needs [m,k] x [n,k], got {av.shape} x {bv.shape}")
-
-    def bk(g):
-        return (g @ bv if a.requires_grad else None,
-                g.T @ av if b.requires_grad else None)
-
-    return _record("matmul_nt", av @ bv.T, (a, b), bk)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ w.T (+ b), with w shaped [out, in] and b shaped [out]."""
     xv, wv = x.values, w.values
@@ -258,41 +244,38 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _record("linear", out + bv, (x, w, b), bk)
 
 
-def elementwise(a: Tensor, b: Tensor, kind: str) -> Tensor:
-    av, bv = a.values, b.values
-    if av.shape != bv.shape:
-        raise ShapeError(f"elementwise {kind} needs equal shapes, got {av.shape} and {bv.shape}")
-    if kind == "add":
-        out = av + bv
-
-        def bk(g):
-            return g, g
-    elif kind == "sub":
-        out = av - bv
-
-        def bk(g):
-            return g, -g
-    elif kind == "mul":
-        out = av * bv
-
-        def bk(g):
-            return (g * bv if a.requires_grad else None,
-                    g * av if b.requires_grad else None)
-    else:
-        raise ValueError(f"unknown elementwise kind {kind!r}")
-    return _record(kind, out, (a, b), bk)
+def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.values.shape != b.values.shape:
+        raise ShapeError(f"{op} needs equal shapes, got {a.values.shape} and {b.values.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise(a, b, "add")
+    _same_shape(a, b, "add")
+
+    def bk(g):
+        return g, g
+
+    return _record("add", a.values + b.values, (a, b), bk)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise(a, b, "sub")
+    _same_shape(a, b, "sub")
+
+    def bk(g):
+        return g, -g
+
+    return _record("sub", a.values - b.values, (a, b), bk)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise(a, b, "mul")
+    _same_shape(a, b, "mul")
+    av, bv = a.values, b.values
+
+    def bk(g):
+        return (g * bv if a.requires_grad else None,
+                g * av if b.requires_grad else None)
+
+    return _record("mul", av * bv, (a, b), bk)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -312,29 +295,22 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return _record("concat", out, tuple(parts), bk)
 
 
-def activation(x: Tensor, kind: str) -> Tensor:
-    xv = x.values
-    if kind == "sigmoid":
-        out = 1.0 / (1.0 + np.exp(-xv))
-
-        def bk(g, s=out):
-            return (g * s * (1.0 - s),)
-    elif kind == "tanh":
-        out = np.tanh(xv)
-
-        def bk(g, t=out):
-            return (g * (1.0 - t * t),)
-    else:
-        raise ValueError(f"unknown activation kind {kind!r}")
-    return _record(kind, out, (x,), bk)
-
-
 def sigmoid(x: Tensor) -> Tensor:
-    return activation(x, "sigmoid")
+    out = 1.0 / (1.0 + np.exp(-x.values))
+
+    def bk(g):
+        return (g * out * (1.0 - out),)
+
+    return _record("sigmoid", out, (x,), bk)
 
 
 def tanh(x: Tensor) -> Tensor:
-    return activation(x, "tanh")
+    out = np.tanh(x.values)
+
+    def bk(g):
+        return (g * (1.0 - out * out),)
+
+    return _record("tanh", out, (x,), bk)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -347,29 +323,6 @@ def softmax(x: Tensor, axis: int) -> Tensor:
         return ((g - (g * y).sum(axis=axis, keepdims=True)) * y,)
 
     return _record("softmax", out, (x,), bk)
-
-
-def masked_softmax(x: Tensor, key_mask: np.ndarray) -> Tensor:
-    """Row softmax over the columns where key_mask is True; masked entries are 0.
-
-    key_mask is a boolean vector over columns, shared by all rows. At least
-    one column must be unmasked.
-    """
-    xv = x.values
-    key_mask = np.asarray(key_mask, dtype=bool)
-    if xv.ndim != 2 or key_mask.shape != (xv.shape[1],):
-        raise ShapeError(f"masked_softmax needs x [n,m] and mask [m], got {xv.shape} and {key_mask.shape}")
-    if not key_mask.any():
-        raise ShapeError("masked_softmax: all keys are masked")
-    s = np.where(key_mask[None, :], xv, -np.inf)
-    shifted = s - s.max(axis=1, keepdims=True)
-    e = np.where(key_mask[None, :], np.exp(shifted), 0.0)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def bk(g, y=out):
-        return ((g - (g * y).sum(axis=1, keepdims=True)) * y,)
-
-    return _record("masked_softmax", out, (x,), bk)
 
 
 def dropout(x: Tensor, rate: float, rng: Rng | None, training: bool) -> Tensor:
@@ -403,15 +356,6 @@ def log(x: Tensor) -> Tensor:
     return _record("log", np.log(xv), (x,), bk)
 
 
-def absolute(x: Tensor) -> Tensor:
-    xv = x.values
-
-    def bk(g):
-        return (g * np.sign(xv),)
-
-    return _record("abs", np.abs(xv), (x,), bk)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a plain (non-differentiated) scalar constant."""
 
@@ -423,32 +367,6 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 def neg(x: Tensor) -> Tensor:
     return scale(x, -1.0)
-
-
-def _as_scalar(t: Tensor, op: str) -> np.ndarray:
-    if t.values.size != 1:
-        raise ShapeError(f"{op} needs a single-element scalar tensor, got shape {t.shape}")
-    return t.values.reshape(())
-
-
-def scalar_mul(x: Tensor, s: Tensor) -> Tensor:
-    sv = _as_scalar(s, "scalar_mul")
-    xv = x.values
-
-    def bk(g):
-        return (g * sv if x.requires_grad else None,
-                np.array([(g * xv).sum()]) if s.requires_grad else None)
-
-    return _record("scalar_mul", xv * sv, (x, s), bk)
-
-
-def scalar_add(x: Tensor, s: Tensor) -> Tensor:
-    sv = _as_scalar(s, "scalar_add")
-
-    def bk(g):
-        return (g, np.array([g.sum()]) if s.requires_grad else None)
-
-    return _record("scalar_add", x.values + sv, (x, s), bk)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -474,17 +392,6 @@ def take_rows(x: Tensor, indices: np.ndarray) -> Tensor:
         return (dx,)
 
     return _record("take_rows", xv[indices], (x,), bk)
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    xv = x.values
-
-    def bk(g):
-        dx = np.zeros_like(xv)
-        dx[start:stop] = g
-        return (dx,)
-
-    return _record("slice_rows", xv[start:stop].copy(), (x,), bk)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -660,6 +567,72 @@ def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, steps: int,
     out = hs if proj is None else np.concatenate([hs, ys], axis=2)
     inputs = (x, w_x, w_h, b) if proj is None else (x, w_x, w_h, b, proj)
     return _record("lstm_scan", out.reshape(T * B, hid + K), inputs, bk)
+
+
+def gaussian_attention(x: Tensor, mask: np.ndarray, w: Tensor,
+                       b: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Self-attention of each utterance over its own tokens, recorded as one
+    operation. Returns the context ``[T*B, d]`` and, as a plain array, the
+    weights ``[B, T, T]``.
+
+    ``x`` is time-major (row ``t * B + b`` is utterance b's token t) and
+    ``mask`` [B, T] marks real tokens. Query i scores key j as
+    ``x_i . x_j - |w * (i - j)^2 + b|`` for single-element tensors ``w`` and
+    ``b``: the locality prior of Guo et al.'s Gaussian Transformer. Masked
+    keys get weight 0, masked queries get a zero context row, and an utterance
+    with no real token gets all-zero weights.
+
+    Backward is hand-written for x, w and b; at the kink of ``|.|`` it takes
+    ``sign(0) = 0``.
+    """
+    xv, wv, bv = x.values, w.values, b.values
+    mask = np.asarray(mask, dtype=bool)
+    if (mask.ndim != 2 or xv.ndim != 2 or xv.shape[0] != mask.size
+            or wv.size != 1 or bv.size != 1):
+        raise ShapeError(f"gaussian_attention: x {xv.shape} does not match mask {mask.shape}, "
+                         f"or w {wv.shape} / b {bv.shape} is not a single element")
+    B, T = mask.shape
+    d = xv.shape[1]
+    xb = np.ascontiguousarray(xv.reshape(T, B, d).transpose(1, 0, 2))    # [B, T, d]
+    pos = np.arange(T, dtype=np.float64)
+    d2 = (pos[:, None] - pos[None, :]) ** 2
+    u = d2 * wv.reshape(()) + bv.reshape(())
+    scores = xb @ xb.transpose(0, 2, 1)
+    scores -= np.abs(u)
+    key = mask[:, None, :]
+    empty = ~mask.any(axis=1)
+    s = np.where(key, scores, -np.inf)
+    top = s.max(axis=2, keepdims=True)
+    top[empty] = 0.0
+    e = np.where(key, np.exp(s - top), 0.0)
+    total = e.sum(axis=2, keepdims=True)
+    total[empty] = 1.0
+    weights = e / total
+    query = mask[:, :, None]
+    context = weights @ xb
+    context *= query
+
+    def bk(g):
+        gc = np.ascontiguousarray(g.reshape(T, B, d).transpose(1, 0, 2))
+        gc *= query
+        d_weights = gc @ xb.transpose(0, 2, 1)
+        ds = (d_weights - (d_weights * weights).sum(axis=2, keepdims=True)) * weights
+        dx = None
+        if x.requires_grad:
+            dx = weights.transpose(0, 2, 1) @ gc
+            dx += ds @ xb
+            dx += ds.transpose(0, 2, 1) @ xb
+            dx = dx.transpose(1, 0, 2).reshape(T * B, d)
+        # summed from the last utterance down, the order a per-utterance tape
+        # accumulates in, so w and b get the same bits as it gives
+        du = -ds[::-1].sum(axis=0) * np.sign(u)
+        return (dx,
+                np.full(wv.shape, (du * d2).sum()) if w.requires_grad else None,
+                np.full(bv.shape, du.sum()) if b.requires_grad else None)
+
+    out = _record("gaussian_attention", context.transpose(1, 0, 2).reshape(T * B, d),
+                  (x, w, b), bk)
+    return out, weights
 
 
 def backward(loss: Tensor) -> None:

@@ -60,16 +60,6 @@ class GaussianAttentionParams:
 
 
 @dataclass
-class EncodedUtterance:
-    """Single-utterance view of the encoder output (values only)."""
-
-    E: np.ndarray          # [T, 2h + emb] (or [T, 2h] without attention)
-    H: np.ndarray          # [T, 2h]
-    C: np.ndarray | None   # [T, emb]
-    mask: np.ndarray       # [T] bool
-
-
-@dataclass
 class EncoderOutput:
     """Batched encoder output, time-major: row ``t * B + b`` is utterance b's
     token t."""
@@ -154,28 +144,20 @@ def bilstm_forward(x: Tensor, mask: np.ndarray, fwd: LstmParams, bwd: LstmParams
     return ad.concat([h_fwd, h_bwd], axis=1)
 
 
-def attention_prior(T: int, w_eff: Tensor, b_eff: Tensor) -> Tensor:
-    """[T, T] additive score prior -|w * d^2 + b| over squared token distance."""
-    pos = np.arange(T, dtype=np.float64)
-    d2 = ad.constant((pos[:, None] - pos[None, :]) ** 2)
-    return ad.neg(ad.absolute(ad.scalar_add(ad.scalar_mul(d2, w_eff), b_eff)))
-
-
-def gaussian_self_attention(x: Tensor, mask: np.ndarray, w_eff: Tensor, b_eff: Tensor,
-                            prior: Tensor | None = None) -> tuple[Tensor, Tensor]:
-    """Context vectors for one utterance [T, d]; returns (C, attention weights).
+def gaussian_self_attention(x: Tensor, mask: np.ndarray, w_eff: Tensor,
+                            b_eff: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Context vectors and attention weights of time-major x [T*B, d] under a
+    [B, T] mask, or of one utterance's x [T, d] under a [T] mask.
 
     Scores are the dot products x_i . x_j plus the locality prior; masked key
-    positions are excluded from the softmax and masked query rows come out
-    zero.
+    positions get weight 0 and masked query rows come out zero. The weights
+    are [B, T, T], or [T, T] for one utterance.
     """
-    T = x.shape[0]
-    if prior is None:
-        prior = attention_prior(T, w_eff, b_eff)
-    scores = ad.add(prior, ad.matmul_nt(x, x))
-    weights = ad.masked_softmax(scores, mask)
-    context = ad.matmul(weights, x)
-    return ad.mask_rows(context, mask.astype(np.float64)), weights
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim == 1:
+        context, weights = ad.gaussian_attention(x, mask[None, :], w_eff, b_eff)
+        return context, weights[0]
+    return ad.gaussian_attention(x, mask, w_eff, b_eff)
 
 
 def encode_batch(token_ids: np.ndarray, mask: np.ndarray, emb_table: EmbeddingTable,
@@ -191,30 +173,9 @@ def encode_batch(token_ids: np.ndarray, mask: np.ndarray, emb_table: EmbeddingTa
     row_mask = mask.reshape(-1).astype(np.float64)
     emb_all = ad.mask_rows(emb_all, row_mask)
     time_major = np.arange(B * T).reshape(B, T).T.reshape(-1)  # row t*B+b <- b*T+t
-    h_all = bilstm_forward(ad.take_rows(emb_all, time_major), mask, fwd, bwd)
-    if attn is None:
+    x = ad.take_rows(emb_all, time_major)
+    c_all = None if attn is None else gaussian_self_attention(x, mask, *attn.effective())[0]
+    h_all = bilstm_forward(x, mask, fwd, bwd)
+    if c_all is None:
         return EncoderOutput(e=h_all, h=h_all, c=None, mask=mask)
-
-    w_eff, b_eff = attn.effective()
-    prior = attention_prior(T, w_eff, b_eff)
-    contexts = []
-    for i in range(B):
-        x_i = ad.slice_rows(emb_all, i * T, (i + 1) * T)
-        c_i, _ = gaussian_self_attention(x_i, mask[i], w_eff, b_eff, prior=prior)
-        contexts.append(c_i)
-    c_all = ad.take_rows(ad.concat(contexts, axis=0), time_major)
     return EncoderOutput(e=ad.concat([h_all, c_all], axis=1), h=h_all, c=c_all, mask=mask)
-
-
-def encode_utterance(token_ids, emb_table: EmbeddingTable, fwd: LstmParams,
-                     bwd: LstmParams, attn: GaussianAttentionParams | None) -> EncodedUtterance:
-    """Deterministic single-utterance encoding, returned as plain arrays."""
-    ids = np.asarray(token_ids, dtype=np.int64).reshape(1, -1)
-    mask = np.ones_like(ids, dtype=bool)
-    out = encode_batch(ids, mask, emb_table, fwd, bwd, attn)
-    return EncodedUtterance(
-        E=out.e.values,
-        H=out.h.values,
-        C=out.c.values if out.c is not None else None,
-        mask=mask[0],
-    )

@@ -46,21 +46,9 @@ class AblationFlags:
 
 
 @dataclass
-class DecoderTrace:
-    """Hidden features and output distributions of whichever decoders ran."""
-
-    slot_intuitive: inter.DecodeResult | None = None
-    intent_rational: inter.DecodeResult | None = None
-    intent_intuitive: inter.DecodeResult | None = None
-    slot_rational: inter.DecodeResult | None = None
-
-
-@dataclass
 class ForwardResult:
     y_slot: Tensor               # [T*B, n_slots], time-major
     y_intent: Tensor             # [B, n_intents]
-    trace: DecoderTrace
-    encoded: enc.EncoderOutput
     mask: np.ndarray             # [B, T]
 
     def slot_predictions(self) -> np.ndarray:
@@ -188,12 +176,11 @@ class JointModel:
                 tf_rate: float = 0.0, tf_rng: Rng | None = None,
                 dropout_rate: float = 0.0, dropout_rng: Rng | None = None) -> ForwardResult:
         flags = self.flags
-        B, T = batch.token_ids.shape
-        encoded = enc.encode_batch(
+        T = batch.token_ids.shape[1]
+        e = enc.encode_batch(
             batch.token_ids, batch.mask, self.embedding, self.enc_fwd, self.enc_bwd,
             self.attention if flags.gaussian_attention else None,
-            training=training, dropout_rate=dropout_rate, dropout_rng=dropout_rng)
-        e = encoded.e
+            training=training, dropout_rate=dropout_rate, dropout_rng=dropout_rng).e
 
         use_tf = training and tf_rate > 0.0
         if use_tf:
@@ -205,40 +192,31 @@ class JointModel:
                 return inter.disabled_teacher_forcing()
             return inter.TeacherForcing(rate=tf_rate, rng=tf_rng, gold=gold)
 
-        trace = DecoderTrace()
         if flags.slot2intent:
-            trace.slot_intuitive = inter.intuitive_slot_decode(
+            slot_intuitive = inter.intuitive_slot_decode(
                 e, T, self.dec_slot_intuitive, forcing(slot_gold if use_tf else None))
-            trace.intent_rational = inter.rational_intent_decode(
-                e, T, trace.slot_intuitive.y, self.dec_intent_rational,
+            intent_rational = inter.rational_intent_decode(
+                e, T, slot_intuitive.y, self.dec_intent_rational,
                 forcing(intent_gold if use_tf else None))
         if flags.intent2slot:
-            trace.intent_intuitive = inter.intuitive_intent_decode(
+            intent_intuitive = inter.intuitive_intent_decode(
                 e, T, self.dec_intent_intuitive, forcing(intent_gold if use_tf else None))
-            trace.slot_rational = inter.rational_slot_decode(
-                e, T, trace.intent_intuitive.y, self.dec_slot_rational,
+            slot_rational = inter.rational_slot_decode(
+                e, T, intent_intuitive.y, self.dec_slot_rational,
                 forcing(slot_gold if use_tf else None))
 
         if flags.gates_active:
-            h_rs, h_is = trace.slot_rational.h, trace.slot_intuitive.h
+            h_rs, h_is = slot_rational.h, slot_intuitive.h
             h_slot = coop.fuse(h_rs, h_is, coop.gate(h_rs, self.coop.slot_gate))
-            h_ri, h_ii = trace.intent_rational.h, trace.intent_intuitive.h
+            h_ri, h_ii = intent_rational.h, intent_intuitive.h
             intent_blend = coop.fuse(h_ri, h_ii, coop.gate(h_ri, self.coop.intent_gate))
         else:
-            if flags.intent2slot and flags.slot2intent:
-                h_slot = trace.slot_rational.h
-                intent_blend = trace.intent_rational.h
-            elif flags.intent2slot:
-                h_slot = trace.slot_rational.h
-                intent_blend = trace.intent_intuitive.h
-            else:
-                h_slot = trace.slot_intuitive.h
-                intent_blend = trace.intent_rational.h
+            h_slot = (slot_rational if flags.intent2slot else slot_intuitive).h
+            intent_blend = (intent_rational if flags.slot2intent else intent_intuitive).h
 
         h_intent = coop.fuse_intent(intent_blend, batch.mask)
         y_slot, y_intent = coop.predict(h_slot, h_intent, self.head_slot, self.head_intent)
-        return ForwardResult(y_slot=y_slot, y_intent=y_intent,
-                             trace=trace, encoded=encoded, mask=batch.mask)
+        return ForwardResult(y_slot=y_slot, y_intent=y_intent, mask=batch.mask)
 
 
 def build_model(dims: ModelDims, flags: AblationFlags, rng: Rng | None) -> JointModel:

@@ -376,8 +376,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         left = os.fstat(f.fileno()).st_size
 
         def truncated(what: str, n: int, got: int) -> ValueError:
+            # a misread shape can multiply out to more digits than str() allows
+            need = n if n < 2 ** 64 else "more than 2**64"
             return ValueError(f"{path}: truncated or corrupt checkpoint: {what} needs "
-                              f"{n} bytes, {got} left in the file")
+                              f"{need} bytes, {got} left in the file")
 
         def take(n: int, what: str) -> None:
             nonlocal left

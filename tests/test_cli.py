@@ -315,6 +315,18 @@ class TestCorruptCheckpoint:
         code, err = self.predict(trained_dir, edited)
         assert code == 1 and "corrupt.bin" in err
 
+    def test_misread_shape_with_a_huge_byte_count_names_the_file(self, trained_dir):
+        # (32, 8) rewritten as (1, 1062): the reader then takes later bytes for
+        # a rank and a shape whose byte count has more than 4300 digits
+        good = (trained_dir[0] / "checkpoint.bin").read_bytes()
+        pos, name, shape = next(r for r in tensor_records(good)
+                                if r[1] == b"decoder.intent_rational.w_h")
+        assert shape == (32, 8)
+        start = pos + 3 + len(name)
+        edited = good[:start] + struct.pack("<2Q", 1, 1062) + good[start + 16:]
+        code, err = self.predict(trained_dir, edited)
+        assert code == 1 and "corrupt.bin" in err and "more than" in err
+
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_flipped_byte_never_raises(self, trained_dir, data):

@@ -75,7 +75,7 @@ class TestLstmStep:
             h = ad.constant(np.zeros((1, 4)))
             c = ad.constant(np.zeros((1, 4)))
             for t in range(3):
-                h, c = enc.lstm_step(ad.slice_rows(xs, t, t + 1), h, c, p)
+                h, c = enc.lstm_step(ad.take_rows(xs, [t]), h, c, p)
             return ad.sum_all(h)
 
         err = ad.grad_check(f, [xs, p.w_x, p.w_h, p.b], 1e-5)
@@ -150,7 +150,7 @@ class TestGaussianAttention:
         x = ad.constant([[1.0, 0.0], [0.0, 1.0]])
         c, w = enc.gaussian_self_attention(x, np.ones(2, dtype=bool),
                                            ad.constant([1.0]), ad.constant([0.0]))
-        assert np.allclose(w.values[0], [0.88080, 0.11920], atol=1e-4)
+        assert np.allclose(w[0], [0.88080, 0.11920], atol=1e-4)
         expected = 0.8808 * x.values[0] + 0.1192 * x.values[1]
         assert np.allclose(c.values[0], expected, atol=1e-4)
 
@@ -170,8 +170,8 @@ class TestGaussianAttention:
         x = ad.constant(rng.uniform(-1, 1, (5, 4)))
         mask = np.array([True, True, True, False, False])
         _, w = enc.gaussian_self_attention(x, mask, ad.constant([1.0]), ad.constant([-0.5]))
-        assert np.abs(w.values[:, mask].sum(axis=1) - 1.0).max() <= 1e-12
-        assert np.array_equal(w.values[:, ~mask], np.zeros((5, 2)))
+        assert np.abs(w[:, mask].sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.array_equal(w[:, ~mask], np.zeros((5, 2)))
 
     def test_reparameterization_signs(self):
         p = enc.init_gaussian_attention()
@@ -234,8 +234,9 @@ class TestEncodeBatch:
     def test_encode_utterance_view(self):
         rng = Rng(14)
         table, fwd, bwd, attn = self.build(rng)
-        out = enc.encode_utterance([2, 3, 4], table, fwd, bwd, attn)
-        assert out.E.shape == (3, 10)
-        assert out.H.shape == (3, 6)
-        assert out.C.shape == (3, 4)
-        assert np.array_equal(out.E, np.hstack([out.H, out.C]))
+        out = enc.encode_batch(np.array([[2, 3, 4]]), np.ones((1, 3), dtype=bool),
+                               table, fwd, bwd, attn)
+        assert out.e.shape == (3, 10)
+        assert out.h.shape == (3, 6)
+        assert out.c.shape == (3, 4)
+        assert np.array_equal(out.e.values, np.hstack([out.h.values, out.c.values]))

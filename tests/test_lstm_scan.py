@@ -17,7 +17,7 @@ def reference_scan(x, T, p, mask, reverse=False):
     c = ad.constant(np.zeros((B, p.hidden)))
     out = {}
     for t in (range(T - 1, -1, -1) if reverse else range(T)):
-        h_new, c_new = enc.lstm_step(ad.slice_rows(x, t * B, (t + 1) * B), h, c, p)
+        h_new, c_new = enc.lstm_step(ad.take_rows(x, np.arange(t * B, (t + 1) * B)), h, c, p)
         keep = mask[:, t].astype(np.float64)
         h, c = ad.mask_rows(h_new, keep), ad.mask_rows(c_new, keep)
         out[t] = h
@@ -39,9 +39,9 @@ def reference_decode(e, T, p, force=None, gold=None, opposite_y=None):
         else:
             forced = ad.constant(gold[(t - 1) * B: t * B] * force[t][:, None])
             prev = ad.add(ad.mask_rows(ys[-1], (~force[t]).astype(np.float64)), forced)
-        parts = [prev] if opposite_y is None else [prev, ad.slice_rows(opposite_y, t * B,
-                                                                      (t + 1) * B)]
-        x = ad.concat(parts + [ad.slice_rows(e, t * B, (t + 1) * B)], axis=1)
+        rows = np.arange(t * B, (t + 1) * B)
+        parts = [prev] if opposite_y is None else [prev, ad.take_rows(opposite_y, rows)]
+        x = ad.concat(parts + [ad.take_rows(e, rows)], axis=1)
         inputs.append(x.values)
         h, c = enc.lstm_step(x, h, c, p.cell)
         hs.append(h)

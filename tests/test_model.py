@@ -133,8 +133,8 @@ class TestForward:
         assert diff > 0
 
     def test_training_step_node_budget(self):
-        # one recorded node per LSTM scan and one pass of the cooperation
-        # layer and losses over all rows; 1448 nodes when each step was recorded
+        # one recorded node per LSTM scan, one for the batch's self-attention,
+        # and one pass of the cooperation layer and losses over all rows
         corpus = dat.generate_synthetic(dat.SynthSpec(train_samples=64, seed=5))
         vocab = dat.build_vocabs(corpus)
         samples = sorted(corpus.train, key=lambda s: -len(s.tokens))[:16]
@@ -145,8 +145,9 @@ class TestForward:
             result = model.forward(batch, training=True, tf_rate=0.9, tf_rng=Rng(0),
                                    dropout_rate=0.1, dropout_rng=Rng(1))
             tr.batch_loss(result, batch, 0.5)
-        assert len(tape.nodes) <= 289
+        assert len(tape.nodes) <= 64
         assert sum(n.name == "lstm_scan" for n in tape.nodes) == 6
+        assert sum(n.name == "gaussian_attention" for n in tape.nodes) == 1
 
     def test_full_model_gradient_matches_fd(self, tiny_corpus):
         corpus, vocab = tiny_corpus
