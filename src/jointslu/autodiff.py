@@ -19,8 +19,8 @@ __all__ = [
     "constant", "parameter", "uniform_parameter",
     "matmul", "linear", "add", "sub", "mul",
     "concat", "sigmoid", "tanh", "softmax",
-    "dropout", "exp", "log", "neg", "scale", "sum_all",
-    "take_rows", "slice_cols", "pick_cols", "mask_rows",
+    "dropout", "exp", "neg", "scale", "sum_all",
+    "take_rows", "slice_cols", "nll",
     "lstm_scan", "gaussian_attention", "backward", "grad_check",
 ]
 
@@ -174,33 +174,21 @@ def _record(name: str, out_values: np.ndarray, inputs: tuple[Tensor, ...],
     return out
 
 
-class Rng:
-    """Seeded pseudo-random source; identical seeds give identical sequences.
+class Rng(np.random.Generator):
+    """A seeded PCG64 generator; identical seeds give identical sequences.
 
     ``split`` derives independent child streams without disturbing the parent,
-    so e.g. data shuffling and per-step draws can consume separate streams.
+    so e.g. data shuffling and per-step draws can consume separate streams. It
+    keeps its own seed sequence: ``BitGenerator.seed_seq`` needs numpy 1.25.
     """
 
-    def __init__(self, seed: int, _seq: np.random.SeedSequence | None = None):
-        self.seed = int(seed)
-        self._seq = np.random.SeedSequence(self.seed) if _seq is None else _seq
-        self._gen = np.random.Generator(np.random.PCG64(self._seq))
+    def __init__(self, seed: int | np.random.SeedSequence):
+        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        super().__init__(np.random.PCG64(seq))
+        self._seq = seq
 
     def split(self, n: int) -> list["Rng"]:
-        return [Rng(self.seed, _seq=s) for s in self._seq.spawn(n)]
-
-    def random(self, size=None):
-        return self._gen.random(size)
-
-    def uniform(self, low: float, high: float, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def integers(self, low: int, high: int, size=None):
-        out = self._gen.integers(low, high, size=size)
-        return int(out) if size is None else out
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+        return [Rng(s) for s in self._seq.spawn(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +335,6 @@ def exp(x: Tensor) -> Tensor:
     return _record("exp", out, (x,), bk)
 
 
-def log(x: Tensor) -> Tensor:
-    xv = x.values
-
-    def bk(g):
-        return (g / xv,)
-
-    return _record("log", np.log(xv), (x,), bk)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a plain (non-differentiated) scalar constant."""
 
@@ -405,34 +384,28 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return _record("slice_cols", xv[:, start:stop].copy(), (x,), bk)
 
 
-def pick_cols(x: Tensor, ids: np.ndarray) -> Tensor:
-    """Select one entry per row, returning a column [n, 1]."""
+def nll(y: Tensor, ids: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
+    """``[-sum_i w_i * log y[i, ids_i]]``: the negative log-likelihood of one
+    column id per row of ``y``, each row weighted by ``weights`` (all ones when
+    None; a zero weight drops the row)."""
     ids = np.asarray(ids, dtype=np.intp)
-    xv = x.values
-    rows = np.arange(xv.shape[0])
-    if ids.shape != (xv.shape[0],):
-        raise ShapeError(f"pick_cols needs one id per row, got {ids.shape} for {xv.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= xv.shape[1]):
-        raise IndexError(f"column id out of range for {xv.shape[1]} columns")
+    yv = y.values
+    n = yv.shape[0]
+    w = 1.0 if weights is None else np.asarray(weights, dtype=np.float64)
+    if yv.ndim != 2 or ids.shape != (n,) or np.shape(w) not in ((), (n,)):
+        raise ShapeError(f"nll needs one id and one weight per row, got ids {ids.shape} "
+                         f"and weights {np.shape(w)} for {yv.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= yv.shape[1]):
+        raise IndexError(f"column id out of range for {yv.shape[1]} columns")
+    rows = np.arange(n)
+    picked = yv[rows, ids]
 
     def bk(g):
-        dx = np.zeros_like(xv)
-        dx[rows, ids] = g[:, 0]
-        return (dx,)
+        dy = np.zeros_like(yv)
+        dy[rows, ids] = ((g * -1.0) * w) / picked
+        return (dy,)
 
-    return _record("pick_cols", xv[rows, ids][:, None], (x,), bk)
-
-
-def mask_rows(x: Tensor, col: np.ndarray) -> Tensor:
-    """Scale each row by a fixed 0/1 (or float) coefficient column [n, 1]."""
-    col = np.asarray(col, dtype=np.float64).reshape(-1, 1)
-    if col.shape[0] != x.values.shape[0]:
-        raise ShapeError(f"mask_rows needs one coefficient per row, got {col.shape[0]} for {x.shape}")
-
-    def bk(g):
-        return (g * col,)
-
-    return _record("mask_rows", x.values * col, (x,), bk)
+    return _record("nll", np.array([(np.log(picked) * w).sum()]) * -1.0, (y,), bk)
 
 
 def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, steps: int,
@@ -652,9 +625,10 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
 
     f must be deterministic and re-runnable; it is evaluated twice per
     coordinate of every parameter. The relative-error denominator floors at
-    1e-8 so exact zeros compare cleanly.
+    1e-8 so exact zeros compare cleanly. A NaN error (say, from a NaN
+    gradient) is returned as NaN, never read as zero.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     for p in params:
         p.zero_grad()
@@ -675,6 +649,7 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
             flat[i] = orig
             numeric = (up - down) / (2.0 * epsilon)
             err = abs(aflat[i] - numeric) / max(abs(aflat[i]), abs(numeric), 1e-8)
-            if err > worst:
-                worst = err
+            if np.isnan(err):
+                return err
+            worst = max(worst, err)
     return worst

@@ -9,9 +9,12 @@ rejected.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+
+import numpy as np
 
 from . import autodiff as ad
 from . import data as dat
@@ -28,32 +31,40 @@ class RunConfig(TrainConfig):
     data: str = ""
     out: str = ""
 
-    def train_config(self) -> TrainConfig:
-        names = {f.name for f in fields(TrainConfig)}
-        return TrainConfig(**{k: v for k, v in asdict(self).items() if k in names})
-
 
 # config-file key for each RunConfig field ("lambda" is not a valid identifier)
-_KEY_TO_FIELD = {f.name: f.name for f in fields(RunConfig)}
-_KEY_TO_FIELD["lambda"] = "loss_lambda"
-del _KEY_TO_FIELD["loss_lambda"]
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
+_FIELD_TO_KEY = {f.name: f.name for f in fields(RunConfig)}
+_FIELD_TO_KEY["loss_lambda"] = "lambda"
+_KEY_TO_FIELD = {v: k for k, v in _FIELD_TO_KEY.items()}
+_ABLATIONS = [f for f in fields(TrainConfig) if f.name.startswith("no_")]
+# the synth flags that are shorter than their SynthSpec field
+_SYNTH_KEYS = {"slot_types_per_intent": "slot_types", "filler_vocab_size": "filler_vocab"}
 
 
-def _parse_value(field_type: type, raw: str):
-    if field_type is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
         raise ValueError(f"expected a boolean, got {raw!r}")
-    return field_type(raw)
+    return raw.lower() in ("true", "1", "yes")
+
+
+# the parser of each field type, for command-line flags and config files alike
+_FIELD_TYPES = {"float": float, "int": int, "str": str, "bool": _parse_bool}
+
+
+def _add_field_flags(p: argparse.ArgumentParser, flds, keys: dict[str, str],
+                     defaults: bool) -> None:
+    """One ``--<key>`` flag per dataclass field, stored under the field's name:
+    a switch for a bool field, a typed value otherwise. With ``defaults`` an
+    unset flag takes the field's default, without it None (unset)."""
+    for f in flds:
+        kind = {"action": "store_true"} if f.type == "bool" else {"type": _FIELD_TYPES[f.type]}
+        p.add_argument("--" + keys.get(f.name, f.name).replace("_", "-"), dest=f.name,
+                       default=f.default if defaults else None, **kind)
 
 
 def read_config_file(path: str) -> dict:
     """Parse a flat key = value file into RunConfig field values."""
     types = {f.name: f.type for f in fields(RunConfig)}
-    py_types = {"float": float, "int": int, "bool": bool, "str": str}
     out = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -67,10 +78,7 @@ def read_config_file(path: str) -> dict:
             if key not in _KEY_TO_FIELD:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             name = _KEY_TO_FIELD[key]
-            ftype = types[name]
-            if isinstance(ftype, str):
-                ftype = py_types.get(ftype, str)
-            out[name] = _parse_value(ftype, raw.strip())
+            out[name] = _FIELD_TYPES[types[name]](raw.strip())
     return out
 
 
@@ -79,8 +87,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         values.update(read_config_file(args.config))
     for f in fields(RunConfig):
-        cli_val = getattr(args, f.name, None)
-        if cli_val is not None and (not isinstance(cli_val, bool) or cli_val):
+        cli_val = getattr(args, f.name, None)    # None: not given (a switch is True or None)
+        if cli_val is not None:
             values[f.name] = cli_val
     cfg = RunConfig(**values)
     cfg.validate()
@@ -96,32 +104,15 @@ def write_resolved_config(cfg: RunConfig, path: str) -> None:
             f.write(f"{key} = {getattr(cfg, f_def.name)!r}\n")
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--l2-decay", dest="l2_decay", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--teacher-forcing-rate", dest="teacher_forcing_rate", type=float)
-    p.add_argument("--dropout-rate", dest="dropout_rate", type=float)
-    p.add_argument("--lambda", dest="loss_lambda", type=float)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", dest="patience", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--emb-dim", dest="emb_dim", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--no-slot2intent", dest="no_slot2intent", action="store_true", default=None)
-    p.add_argument("--no-intent2slot", dest="no_intent2slot", action="store_true", default=None)
-    p.add_argument("--no-gaussian-attention", dest="no_gaussian_attention",
-                   action="store_true", default=None)
-    p.add_argument("--no-cooperation", dest="no_cooperation", action="store_true", default=None)
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     if not cfg.data or not cfg.out:
         raise ValueError("train needs a corpus directory (--data) and an output "
                          "directory (--out), on the command line or in the config file")
     corpus = dat.load_corpus(cfg.data)
+    for split in ("dev", "test"):
+        if not corpus.split(split):
+            raise ValueError(f"{cfg.data}: the {split} split is empty")
     vocab = dat.build_vocabs(corpus)
     os.makedirs(cfg.out, exist_ok=True)
     out_file = lambda name: os.path.join(cfg.out, name)
@@ -131,7 +122,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                      n_slots=vocab.n_slots, n_intents=vocab.n_intents)
     init_rng, shuffle_rng, tf_rng, dropout_rng = tr.derive_streams(cfg.seed)
     model = build_model(dims, cfg.flags(), init_rng)
-    result = tr.train(model, corpus, vocab, cfg.train_config(), shuffle_rng, tf_rng, dropout_rng)
+    result = tr.train(model, corpus, vocab, cfg, shuffle_rng, tf_rng, dropout_rng)
 
     tr.save_checkpoint(out_file("checkpoint.bin"), model, asdict(cfg), vocab)
     with open(out_file("history.txt"), "w", encoding="utf-8") as f:
@@ -235,21 +226,20 @@ def run_gradcheck(flags: AblationFlags, epsilon: float = 1e-3,
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    flags = AblationFlags(
-        slot2intent=not args.no_slot2intent,
-        intent2slot=not args.no_intent2slot,
-        gaussian_attention=not args.no_gaussian_attention,
-        cooperation=not args.no_cooperation,
-    )
+    if not 0.0 < args.epsilon < math.inf:
+        raise ValueError(f"--epsilon must be finite and positive, got {args.epsilon}")
+    if not 0.0 <= args.threshold < math.inf:
+        raise ValueError(f"--threshold must be finite and >= 0, got {args.threshold}")
+    flags = TrainConfig(**{f.name: getattr(args, f.name) for f in _ABLATIONS}).flags()
     report = run_gradcheck(flags, epsilon=args.epsilon)
-    worst = 0.0
     for name, err in report.items():
         if err is None:
             print(f"{name}: unused (zero grad)")
         else:
             print(f"{name}: max relative error {err:.3e}")
-            worst = max(worst, err)
-    if worst > args.threshold:
+    # np.max keeps a NaN, where max() would drop it
+    worst = float(np.max([0.0] + [err for err in report.values() if err is not None]))
+    if not worst <= args.threshold:
         print(f"FAIL: worst error {worst:.3e} exceeds threshold {args.threshold:.1e}")
         return 1
     print(f"OK: worst error {worst:.3e} within threshold {args.threshold:.1e}")
@@ -257,12 +247,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = dat.SynthSpec(
-        n_intents=args.n_intents, slot_types_per_intent=args.slot_types,
-        lexicon_size=args.lexicon_size, filler_vocab_size=args.filler_vocab,
-        min_len=args.min_len, max_len=args.max_len,
-        train_samples=args.train_samples, dev_samples=args.dev_samples,
-        test_samples=args.test_samples, purity=args.purity, seed=args.seed)
+    spec = dat.SynthSpec(**{f.name: getattr(args, f.name) for f in fields(dat.SynthSpec)})
     corpus = dat.generate_synthetic(spec)
     os.makedirs(args.out, exist_ok=True)
     dat.write_corpus(corpus, args.out)
@@ -281,7 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a three-file corpus")
     p.add_argument("--data", help="corpus root (train/valid/test)")
     p.add_argument("--out", help="output directory")
-    _add_config_flags(p)
+    p.add_argument("--config", help="flat key = value config file")
+    # value flags first, then switches
+    flds = [f for f in fields(RunConfig) if f.name not in ("data", "out")]
+    _add_field_flags(p, sorted(flds, key=lambda f: f.type == "bool"), _FIELD_TO_KEY,
+                     defaults=False)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a split")
@@ -300,25 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference check on a tiny model")
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--no-slot2intent", action="store_true")
-    p.add_argument("--no-intent2slot", action="store_true")
-    p.add_argument("--no-gaussian-attention", action="store_true")
-    p.add_argument("--no-cooperation", action="store_true")
+    _add_field_flags(p, _ABLATIONS, {}, defaults=True)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-intents", type=int, default=5)
-    p.add_argument("--slot-types", type=int, default=3)
-    p.add_argument("--lexicon-size", type=int, default=6)
-    p.add_argument("--filler-vocab", type=int, default=30)
-    p.add_argument("--min-len", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=9)
-    p.add_argument("--train-samples", type=int, default=2000)
-    p.add_argument("--dev-samples", type=int, default=200)
-    p.add_argument("--test-samples", type=int, default=200)
-    p.add_argument("--purity", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_field_flags(p, fields(dat.SynthSpec), _SYNTH_KEYS, defaults=True)
     p.set_defaults(func=cmd_synth)
     return parser
 

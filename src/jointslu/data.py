@@ -242,6 +242,9 @@ class SynthSpec:
         if min(self.slot_types_per_intent, self.lexicon_size,
                self.filler_vocab_size, self.min_len, self.train_samples) < 1:
             raise ValueError("sizes and lengths must be positive")
+        if min(self.dev_samples, self.test_samples) < 1:
+            raise ValueError(f"dev_samples and test_samples must be >= 1, got "
+                             f"{self.dev_samples} and {self.test_samples}")
         if self.max_len < self.min_len:
             raise ValueError("max_len must be >= min_len")
 
@@ -255,11 +258,15 @@ def slot_lexicon(intent_idx: int, type_idx: int, size: int) -> list[str]:
 
 
 def _gen_sample(spec: SynthSpec, rng: Rng) -> Sample:
-    intent_idx = rng.integers(0, spec.n_intents)
-    n_spans = rng.integers(1, 3)
-    span_lens = [rng.integers(1, 3) for _ in range(n_spans)]
-    span_types = [rng.integers(0, spec.slot_types_per_intent) for _ in range(n_spans)]
-    length = rng.integers(spec.min_len, spec.max_len + 1)
+    def draw(low: int, high: int) -> int:
+        # a Python int: formatting a numpy integer into token names is slower
+        return int(rng.integers(low, high))
+
+    intent_idx = draw(0, spec.n_intents)
+    n_spans = draw(1, 3)
+    span_lens = [draw(1, 3) for _ in range(n_spans)]
+    span_types = [draw(0, spec.slot_types_per_intent) for _ in range(n_spans)]
+    length = draw(spec.min_len, spec.max_len + 1)
     # one filler between consecutive spans keeps every BIO boundary decodable
     min_needed = sum(span_lens) + (n_spans - 1)
     length = max(length, min_needed)
@@ -275,7 +282,7 @@ def _gen_sample(spec: SynthSpec, rng: Rng) -> Sample:
 
     def emit_fillers(count: int) -> None:
         for _ in range(count):
-            tokens.append(f"w{rng.integers(0, spec.filler_vocab_size)}")
+            tokens.append(f"w{draw(0, spec.filler_vocab_size)}")
             tags.append("O")
 
     for k in range(n_spans):
@@ -285,12 +292,12 @@ def _gen_sample(spec: SynthSpec, rng: Rng) -> Sample:
             if rng.random() < spec.purity:
                 src_intent, src_type = intent_idx, stype
             else:
-                src_intent = rng.integers(0, spec.n_intents - 1)
+                src_intent = draw(0, spec.n_intents - 1)
                 if src_intent >= intent_idx:
                     src_intent += 1
-                src_type = rng.integers(0, spec.slot_types_per_intent)
+                src_type = draw(0, spec.slot_types_per_intent)
             lex = slot_lexicon(src_intent, src_type, spec.lexicon_size)
-            tokens.append(lex[rng.integers(0, spec.lexicon_size)])
+            tokens.append(lex[draw(0, spec.lexicon_size)])
             tags.append(("B-" if pos == 0 else "I-") + slot_type_name(intent_idx, stype))
     emit_fillers(int(gaps[-1]))
     return Sample(tokens, tags, f"intent{intent_idx}")

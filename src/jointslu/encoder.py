@@ -21,10 +21,6 @@ class EmbeddingTable:
     table: Tensor          # [vocab, emb]
     pad_id: int
 
-    @property
-    def emb_dim(self) -> int:
-        return self.table.shape[1]
-
     def zero_pad_row(self) -> None:
         self.table.values[self.pad_id, :] = 0.0
 
@@ -165,13 +161,14 @@ def encode_batch(token_ids: np.ndarray, mask: np.ndarray, emb_table: EmbeddingTa
                  attn: GaussianAttentionParams | None,
                  training: bool = False, dropout_rate: float = 0.0,
                  dropout_rng: Rng | None = None) -> EncoderOutput:
+    """Padded embedding rows need no mask: the scans hold their state at zero
+    at masked steps and attention ignores masked keys and queries, so no output
+    or gradient depends on a padded row."""
     B, T = token_ids.shape
     if T < 1:
         raise ShapeError("cannot encode an empty batch")
     emb_all = embed(token_ids, emb_table)                      # [B*T, emb]
     emb_all = ad.dropout(emb_all, dropout_rate, dropout_rng, training)
-    row_mask = mask.reshape(-1).astype(np.float64)
-    emb_all = ad.mask_rows(emb_all, row_mask)
     time_major = np.arange(B * T).reshape(B, T).T.reshape(-1)  # row t*B+b <- b*T+t
     x = ad.take_rows(emb_all, time_major)
     c_all = None if attn is None else gaussian_self_attention(x, mask, *attn.effective())[0]

@@ -71,7 +71,6 @@ class JointModel:
         self.flags = flags
         h, emb = dims.hidden, dims.emb_dim
         e_width = 2 * h + (emb if flags.gaussian_attention else 0)
-        self.e_width = e_width
 
         self.embedding = enc.init_embedding(dims.vocab_size, emb, rng)
         self.enc_fwd = enc.init_lstm(emb, h, rng)
@@ -182,28 +181,23 @@ class JointModel:
             self.attention if flags.gaussian_attention else None,
             training=training, dropout_rate=dropout_rate, dropout_rng=dropout_rng).e
 
-        use_tf = training and tf_rate > 0.0
-        if use_tf:
+        if training and tf_rate > 0.0:
             slot_gold = inter.slot_gold_onehots(batch.slot_ids, self.dims.n_slots)
             intent_gold = inter.intent_gold_onehots(batch.intent_ids, self.dims.n_intents, T)
-
-        def forcing(gold) -> inter.TeacherForcing:
-            if not use_tf:
-                return inter.disabled_teacher_forcing()
-            return inter.TeacherForcing(rate=tf_rate, rng=tf_rng, gold=gold)
+            slot_tf = inter.TeacherForcing(tf_rate, tf_rng, slot_gold)
+            intent_tf = inter.TeacherForcing(tf_rate, tf_rng, intent_gold)
+        else:
+            slot_tf = intent_tf = inter.disabled_teacher_forcing()
 
         if flags.slot2intent:
-            slot_intuitive = inter.intuitive_slot_decode(
-                e, T, self.dec_slot_intuitive, forcing(slot_gold if use_tf else None))
+            slot_intuitive = inter.intuitive_slot_decode(e, T, self.dec_slot_intuitive, slot_tf)
             intent_rational = inter.rational_intent_decode(
-                e, T, slot_intuitive.y, self.dec_intent_rational,
-                forcing(intent_gold if use_tf else None))
+                e, T, slot_intuitive.y, self.dec_intent_rational, intent_tf)
         if flags.intent2slot:
-            intent_intuitive = inter.intuitive_intent_decode(
-                e, T, self.dec_intent_intuitive, forcing(intent_gold if use_tf else None))
+            intent_intuitive = inter.intuitive_intent_decode(e, T, self.dec_intent_intuitive,
+                                                             intent_tf)
             slot_rational = inter.rational_slot_decode(
-                e, T, intent_intuitive.y, self.dec_slot_rational,
-                forcing(slot_gold if use_tf else None))
+                e, T, intent_intuitive.y, self.dec_slot_rational, slot_tf)
 
         if flags.gates_active:
             h_rs, h_is = slot_rational.h, slot_intuitive.h

@@ -47,8 +47,10 @@ class TrainConfig:
                              f"got {self.teacher_forcing_rate}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not 0.0 <= self.l2_decay < math.inf:
+            raise ValueError(f"l2_decay must be finite and >= 0, got {self.l2_decay}")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 0:
             raise ValueError("batch_size and max_epochs must be >= 1, patience >= 0")
 
@@ -74,16 +76,12 @@ def slot_loss(y_slot: Tensor, slot_ids: np.ndarray, mask: np.ndarray) -> Tensor:
     bad = np.flatnonzero(valid & ((ids < 0) | (ids >= n_slots)))
     if bad.size:
         raise IndexError(f"gold slot id out of range at step {bad[0] // slot_ids.shape[0]}")
-    logp = ad.log(ad.pick_cols(y_slot, np.where(valid, ids, 0)))
-    return ad.neg(ad.sum_all(ad.mask_rows(logp, valid.astype(np.float64))))
+    return ad.nll(y_slot, np.where(valid, ids, 0), valid.astype(np.float64))
 
 
 def intent_loss(y_intent: Tensor, intent_ids: np.ndarray) -> Tensor:
     """Sum of -log p(gold intent) over the utterances of the batch."""
-    n_intents = y_intent.shape[1]
-    if (intent_ids < 0).any() or (intent_ids >= n_intents).any():
-        raise IndexError("gold intent id out of range")
-    return ad.neg(ad.sum_all(ad.log(ad.pick_cols(y_intent, intent_ids))))
+    return ad.nll(y_intent, intent_ids)
 
 
 def joint_loss(l_slot: Tensor, l_intent: Tensor, lam: float) -> Tensor:
@@ -188,24 +186,6 @@ class EpochRecord:
 
 
 @dataclass
-class EarlyStopState:
-    best_accuracy: float = -1.0
-    best_epoch: int = -1
-    epochs_since_improvement: int = 0
-    best_snapshot: dict[str, np.ndarray] | None = None
-
-    def update(self, epoch: int, accuracy: float, model: JointModel) -> bool:
-        if accuracy > self.best_accuracy:
-            self.best_accuracy = accuracy
-            self.best_epoch = epoch
-            self.best_snapshot = model.snapshot()
-            self.epochs_since_improvement = 0
-            return True
-        self.epochs_since_improvement += 1
-        return False
-
-
-@dataclass
 class TrainResult:
     history: list[EpochRecord]
     best_epoch: int
@@ -245,7 +225,7 @@ def train(model: JointModel, corpus: Corpus, vocab: Vocab, cfg: TrainConfig,
         raise ValueError("training split is empty")
     optimizer = Adam(model.parameters(), lr=cfg.learning_rate, l2_decay=cfg.l2_decay,
                      frozen_rows=[(model.embedding.table, model.embedding.pad_id)])
-    stop = EarlyStopState()
+    best_accuracy, best_epoch, best_snapshot, since_best = -1.0, -1, None, 0
     history: list[EpochRecord] = []
     train_samples = corpus.train
     for epoch in range(1, cfg.max_epochs + 1):
@@ -266,13 +246,15 @@ def train(model: JointModel, corpus: Corpus, vocab: Vocab, cfg: TrainConfig,
             optimizer.zero_grad()
         dev_report = evaluate_model(model, corpus.dev, vocab, cfg.batch_size)
         history.append(EpochRecord(epoch=epoch, train_loss=epoch_loss, dev_report=dev_report))
-        stop.update(epoch, dev_report.sentence_accuracy, model)
-        if stop.epochs_since_improvement > cfg.patience:
-            break
-    if stop.best_snapshot is not None:
-        model.load_values(stop.best_snapshot)
-    return TrainResult(history=history, best_epoch=stop.best_epoch,
-                       best_dev_accuracy=stop.best_accuracy)
+        if dev_report.sentence_accuracy > best_accuracy:
+            best_accuracy, best_epoch = dev_report.sentence_accuracy, epoch
+            best_snapshot, since_best = model.snapshot(), 0
+        else:
+            since_best += 1
+            if since_best > cfg.patience:
+                break
+    model.load_values(best_snapshot)    # max_epochs >= 1 and accuracy >= 0: always set
+    return TrainResult(history=history, best_epoch=best_epoch, best_dev_accuracy=best_accuracy)
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,15 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             ad.grad_check(lambda: ad.mul(x, x), [x], 0.0)
 
+    def test_nan_backward_is_a_nan_error(self):
+        x = param([1.0, 2.0])
+
+        def f():
+            y = ad._record("nan_grad", x.values * 2.0, (x,), lambda g: (g * np.nan,))
+            return ad.sum_all(y)
+
+        assert np.isnan(ad.grad_check(f, [x]))
+
 
 class TestGatherScatterOps:
     def test_take_rows_values_and_grad(self):
@@ -305,25 +314,80 @@ class TestGatherScatterOps:
         with pytest.raises(IndexError):
             ad.take_rows(ad.constant(np.ones((2, 2))), np.array([2]))
 
-    def test_pick_cols(self):
-        x = rand_param(Rng(9), (4, 3))
-        ids = np.array([0, 2, 1, 1])
-        assert np.array_equal(ad.pick_cols(x, ids).values[:, 0],
-                              x.values[np.arange(4), ids])
-        assert ad.grad_check(lambda: ad.sum_all(ad.log(ad.pick_cols(
-            ad.softmax(x, axis=1), ids))), [x], 1e-5) <= 1e-6
-
     def test_slices_and_mask(self):
         rng = Rng(10)
         x = rand_param(rng, (4, 6))
-        col = np.array([1.0, 0.0, 1.0, 0.0])
+        col = ad.constant(np.array([1.0, 0.0, 1.0, 0.0])[:, None] * np.ones((4, 3)))
 
         def f():
             a = ad.take_rows(x, np.arange(1, 3))
             b = ad.slice_cols(x, 2, 5)
-            return ad.add(ad.sum_all(a), ad.sum_all(ad.mask_rows(b, col)))
+            return ad.add(ad.sum_all(a), ad.sum_all(ad.mul(b, col)))
 
         assert ad.grad_check(f, [x], 1e-5) <= 1e-6
+
+
+def old_nll_chain(y, ids, w=None):
+    """The loss and y-gradient of pick_cols -> log -> [mask_rows] -> sum_all ->
+    neg, step by step in numpy, in the order those five ops ran."""
+    rows = np.arange(y.shape[0])
+    picked = y[rows, ids][:, None]
+    logp = np.log(picked)
+    if w is not None:
+        logp = logp * w[:, None]
+    loss = np.array([logp.sum()]) * -1.0
+    g = np.full(picked.shape, (np.ones(1) * -1.0)[0])
+    if w is not None:
+        g = g * w[:, None]
+    g = g / picked
+    dy = np.zeros_like(y)
+    dy[rows, ids] = g[:, 0]
+    return loss, dy
+
+
+class TestNll:
+    def test_value_and_gradient_of_picked_entries(self):
+        y = param([[0.5, 0.25, 0.25], [0.1, 0.1, 0.8]])
+        with Tape():
+            loss = ad.nll(y, np.array([0, 2]), np.array([1.0, 0.5]))
+            ad.backward(loss)
+        assert loss.item() == pytest.approx(-(np.log(0.5) + 0.5 * np.log(0.8)), abs=1e-15)
+        assert np.array_equal(y.grad, [[-2.0, 0.0, 0.0], [0.0, 0.0, -0.5 / 0.8]])
+
+    def test_grad_check_with_zero_weight_row(self):
+        x = rand_param(Rng(9), (4, 3))
+        ids = np.array([0, 2, 1, 1])
+        w = np.array([1.0, 0.0, 2.0, 1.0])
+        assert ad.grad_check(lambda: ad.nll(ad.softmax(x, axis=1), ids, w), [x], 1e-5) <= 1e-6
+        y = param(np.full((4, 3), 1.0 / 3))
+        with Tape():
+            ad.backward(ad.nll(y, ids, w))
+        assert np.array_equal(y.grad[1], np.zeros(3))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bitwise_equal_to_the_old_five_op_chain(self, weighted):
+        rng = Rng(21)
+        for n, k in ((1, 2), (7, 5), (144, 31)):
+            y = ad.parameter(rng.uniform(0.01, 1.0, (n, k)))
+            ids = rng.integers(0, k, n)
+            w = (rng.random(n) < 0.7).astype(np.float64) if weighted else None
+            want_loss, want_grad = old_nll_chain(y.values, ids, w)
+            with Tape():
+                loss = ad.nll(y, ids, w)
+                ad.backward(loss)
+            assert loss.values.tobytes() == want_loss.tobytes()
+            assert y.grad.tobytes() == want_grad.tobytes()
+
+    def test_bad_ids_and_weights(self):
+        y = ad.constant(np.full((2, 3), 1.0 / 3))
+        with pytest.raises(IndexError):
+            ad.nll(y, np.array([0, 3]))
+        with pytest.raises(IndexError):
+            ad.nll(y, np.array([-1, 0]))
+        with pytest.raises(ShapeError):
+            ad.nll(y, np.array([0]))
+        with pytest.raises(ShapeError):
+            ad.nll(y, np.array([0, 1]), np.ones(3))
 
 
 class TestLinear:
@@ -400,6 +464,8 @@ def test_every_op_grad_check_small_random():
         b = rand_param(rng, (n, m))
         c = rand_param(rng, (m, k))
         w = ad.constant(rng.uniform(-1, 1, (k, 1)))
+        ids = rng.integers(0, m, n)
+        weights = rng.uniform(0, 2, n)
         cases = {
             "matmul": lambda: ad.sum_all(ad.matmul(a, c)),
             "add": lambda: ad.sum_all(ad.add(a, b)),
@@ -410,7 +476,7 @@ def test_every_op_grad_check_small_random():
             "tanh": lambda: ad.sum_all(ad.tanh(a)),
             "softmax": lambda: ad.sum_all(ad.matmul(ad.matmul(ad.softmax(a, axis=1), c), w)),
             "exp": lambda: ad.sum_all(ad.exp(a)),
-            "log": lambda: ad.sum_all(ad.log(ad.exp(a))),
+            "nll": lambda: ad.nll(ad.softmax(a, axis=1), ids, weights),
         }
         for name, f in cases.items():
             err = ad.grad_check(f, [a, b, c], 1e-5)

@@ -1,5 +1,6 @@
 import io
 import os
+import shutil
 import struct
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -54,6 +55,15 @@ class TestSynth:
                 assert (synth_dir / split / name).read_bytes() == \
                        (tmp_path / split / name).read_bytes()
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_empty_dev_split_rejected_before_output(self, tmp_path, capsys, count):
+        out = tmp_path / "synth"
+        assert run(["synth", "--out", str(out), "--dev-samples", count]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dev_samples and test_samples must be >= 1")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestTrain:
     def test_outputs_exist(self, trained_dir):
@@ -97,6 +107,33 @@ class TestTrain:
         out = tmp_path / "out"
         assert run(["train", "--data", str(synth_dir), "--out", str(out), flag, value]) == 1
         assert capsys.readouterr().err.startswith("error: emb_dim and hidden must be >= 1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--learning-rate", "nan", "learning_rate must be finite and positive"),
+        ("--learning-rate", "inf", "learning_rate must be finite and positive"),
+        ("--learning-rate", "0", "learning_rate must be finite and positive"),
+        ("--l2-decay", "nan", "l2_decay must be finite and >= 0"),
+        ("--l2-decay", "inf", "l2_decay must be finite and >= 0"),
+        ("--l2-decay", "-5", "l2_decay must be finite and >= 0"),
+    ])
+    def test_bad_optimizer_setting_rejected_before_output(self, synth_dir, tmp_path, capsys,
+                                                          flag, value, message):
+        out = tmp_path / "out"
+        assert run(["train", "--data", str(synth_dir), "--out", str(out), flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split,dirname", [("dev", "valid"), ("test", "test")])
+    def test_empty_dev_or_test_split_rejected_before_output(self, synth_dir, tmp_path, capsys,
+                                                            split, dirname):
+        data = tmp_path / "corpus"
+        shutil.copytree(synth_dir, data)
+        for name in ("seq.in", "seq.out", "label"):
+            (data / dirname / name).write_text("")
+        out = tmp_path / "out"
+        assert run(["train", "--data", str(data), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {data}: the {split} split is empty\n"
         assert not out.exists()
 
     def test_missing_data_dir_fails(self, tmp_path):
@@ -358,6 +395,25 @@ class TestGradcheckCommand:
                             lambda flags, epsilon=1e-3, seed=7: {"head.slot": 0.5})
         assert run(["gradcheck"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--epsilon", "nan"), ("--epsilon", "inf"), ("--epsilon", "0"), ("--epsilon", "-1e-3"),
+        ("--threshold", "nan"), ("--threshold", "inf"), ("--threshold", "-1"),
+    ])
+    def test_bad_epsilon_or_threshold_rejected(self, monkeypatch, capsys, flag, value):
+        monkeypatch.setattr(cli, "run_gradcheck", lambda *a, **k: pytest.fail("ran"))
+        assert run(["gradcheck", f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} must be finite")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_nan_error_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_gradcheck",
+                            lambda flags, epsilon=1e-3, seed=7: {"head.slot": 1e-6,
+                                                                 "head.intent": float("nan"),
+                                                                 "coop.slot_gate.w1": 2e-6})
+        assert run(["gradcheck"]) == 1
+        assert "FAIL: worst error nan" in capsys.readouterr().out
 
     def test_deterministic_fixture(self):
         a, _ = cli._gradcheck_fixture()

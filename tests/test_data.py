@@ -150,6 +150,11 @@ class TestSyntheticGenerator:
                 assert (tmp_path / "a" / split / name).read_bytes() == \
                        (tmp_path / "c" / split / name).read_bytes()
 
+    @pytest.mark.parametrize("split,count", [("dev", 0), ("dev", -3), ("test", 0)])
+    def test_empty_dev_or_test_split_rejected(self, split, count):
+        with pytest.raises(ValueError, match=f"{split}_samples"):
+            dat.SynthSpec(**{f"{split}_samples": count}).validate()
+
     def test_purity_one_tokens_unique_to_intent(self):
         spec = dat.SynthSpec(train_samples=300, dev_samples=50, test_samples=50,
                              purity=1.0, seed=6)

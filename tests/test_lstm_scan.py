@@ -18,8 +18,8 @@ def reference_scan(x, T, p, mask, reverse=False):
     out = {}
     for t in (range(T - 1, -1, -1) if reverse else range(T)):
         h_new, c_new = enc.lstm_step(ad.take_rows(x, np.arange(t * B, (t + 1) * B)), h, c, p)
-        keep = mask[:, t].astype(np.float64)
-        h, c = ad.mask_rows(h_new, keep), ad.mask_rows(c_new, keep)
+        keep = ad.constant(np.repeat(mask[:, t].astype(np.float64)[:, None], p.hidden, axis=1))
+        h, c = ad.mul(h_new, keep), ad.mul(c_new, keep)
         out[t] = h
     return ad.concat([out[t] for t in range(T)], axis=0)
 
@@ -38,7 +38,8 @@ def reference_decode(e, T, p, force=None, gold=None, opposite_y=None):
             prev = ys[-1]
         else:
             forced = ad.constant(gold[(t - 1) * B: t * B] * force[t][:, None])
-            prev = ad.add(ad.mask_rows(ys[-1], (~force[t]).astype(np.float64)), forced)
+            free = np.repeat((~force[t]).astype(np.float64)[:, None], K, axis=1)
+            prev = ad.add(ad.mul(ys[-1], ad.constant(free)), forced)
         rows = np.arange(t * B, (t + 1) * B)
         parts = [prev] if opposite_y is None else [prev, ad.take_rows(opposite_y, rows)]
         x = ad.concat(parts + [ad.take_rows(e, rows)], axis=1)

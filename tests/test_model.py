@@ -145,7 +145,8 @@ class TestForward:
             result = model.forward(batch, training=True, tf_rate=0.9, tf_rng=Rng(0),
                                    dropout_rate=0.1, dropout_rng=Rng(1))
             tr.batch_loss(result, batch, 0.5)
-        assert len(tape.nodes) <= 64
+        assert len(tape.nodes) <= 51
+        assert sum(n.name == "nll" for n in tape.nodes) == 2
         assert sum(n.name == "lstm_scan" for n in tape.nodes) == 6
         assert sum(n.name == "gaussian_attention" for n in tape.nodes) == 1
 
