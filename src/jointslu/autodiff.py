@@ -313,10 +313,11 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     return _record("softmax", out, (x,), bk)
 
 
-def dropout(x: Tensor, rate: float, rng: Rng | None, training: bool) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: Rng | None) -> Tensor:
+    """Inverted dropout; rate 0 returns ``x`` itself and draws nothing."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     keep = (rng.random(x.values.shape) >= rate) / (1.0 - rate)
 

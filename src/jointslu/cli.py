@@ -259,8 +259,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, so that ``main`` reports it as one ``error:`` line."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="jointslu")
+    parser = _Parser(prog="jointslu")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model on a three-file corpus")
@@ -300,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, IndexError, OSError, tr.TrainingDiverged) as e:
         print(f"error: {e}", file=sys.stderr)

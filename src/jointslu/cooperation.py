@@ -24,12 +24,6 @@ class MlpParams:
     b2: Tensor   # [out]
 
 
-@dataclass
-class CooperationParams:
-    slot_gate: MlpParams
-    intent_gate: MlpParams
-
-
 def init_mlp(width: int, rng: Rng | None) -> MlpParams:
     """``rng=None`` gives all-zero weights, for a model whose values will be loaded."""
     bound = 1.0 / np.sqrt(width)

@@ -247,6 +247,8 @@ class SynthSpec:
                              f"{self.dev_samples} and {self.test_samples}")
         if self.max_len < self.min_len:
             raise ValueError("max_len must be >= min_len")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def slot_type_name(intent_idx: int, type_idx: int) -> str:

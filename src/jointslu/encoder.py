@@ -55,21 +55,6 @@ class GaussianAttentionParams:
         return ad.exp(self.w_raw), ad.neg(ad.exp(self.b_raw))
 
 
-@dataclass
-class EncoderOutput:
-    """Batched encoder output, time-major: row ``t * B + b`` is utterance b's
-    token t."""
-
-    e: Tensor              # [T*B, e_width]
-    h: Tensor              # [T*B, 2h]
-    c: Tensor | None       # [T*B, emb] when attention is on
-    mask: np.ndarray       # [B, T] bool
-
-    @property
-    def e_width(self) -> int:
-        return self.e.shape[1]
-
-
 # The initializers take ``rng=None`` for a model whose values will be loaded:
 # every parameter is then all zeros and nothing is drawn.
 
@@ -90,13 +75,10 @@ def init_lstm(input_size: int, hidden: int, rng: Rng | None) -> LstmParams:
     return LstmParams(w_x=w_x, w_h=w_h, b=ad.parameter(b))
 
 
-def init_gaussian_attention(zeros: bool = False) -> GaussianAttentionParams:
-    if zeros:
-        return GaussianAttentionParams(w_raw=ad.parameter(np.zeros(1)),
-                                       b_raw=ad.parameter(np.zeros(1)))
+def init_gaussian_attention(rng: Rng | None) -> GaussianAttentionParams:
     # b starts at -0.5 so |w*d^2 + b| has no kink at integer squared distances
     return GaussianAttentionParams(w_raw=ad.parameter([0.0]),
-                                   b_raw=ad.parameter([np.log(0.5)]))
+                                   b_raw=ad.parameter([0.0 if rng is None else np.log(0.5)]))
 
 
 def embed(token_ids: np.ndarray, table: EmbeddingTable) -> Tensor:
@@ -158,21 +140,20 @@ def gaussian_self_attention(x: Tensor, mask: np.ndarray, w_eff: Tensor,
 
 def encode_batch(token_ids: np.ndarray, mask: np.ndarray, emb_table: EmbeddingTable,
                  fwd: LstmParams, bwd: LstmParams,
-                 attn: GaussianAttentionParams | None,
-                 training: bool = False, dropout_rate: float = 0.0,
-                 dropout_rng: Rng | None = None) -> EncoderOutput:
-    """Padded embedding rows need no mask: the scans hold their state at zero
+                 attn: GaussianAttentionParams | None, dropout_rate: float = 0.0,
+                 dropout_rng: Rng | None = None) -> Tensor:
+    """Time-major features [T*B, e_width] (row ``t * B + b`` is utterance b's token
+    t): the BiLSTM state, then the attention context when attention is on.
+    Padded embedding rows need no mask: the scans hold their state at zero
     at masked steps and attention ignores masked keys and queries, so no output
     or gradient depends on a padded row."""
     B, T = token_ids.shape
     if T < 1:
         raise ShapeError("cannot encode an empty batch")
     emb_all = embed(token_ids, emb_table)                      # [B*T, emb]
-    emb_all = ad.dropout(emb_all, dropout_rate, dropout_rng, training)
+    emb_all = ad.dropout(emb_all, dropout_rate, dropout_rng)
     time_major = np.arange(B * T).reshape(B, T).T.reshape(-1)  # row t*B+b <- b*T+t
     x = ad.take_rows(emb_all, time_major)
     c_all = None if attn is None else gaussian_self_attention(x, mask, *attn.effective())[0]
     h_all = bilstm_forward(x, mask, fwd, bwd)
-    if c_all is None:
-        return EncoderOutput(e=h_all, h=h_all, c=None, mask=mask)
-    return EncoderOutput(e=ad.concat([h_all, c_all], axis=1), h=h_all, c=c_all, mask=mask)
+    return h_all if c_all is None else ad.concat([h_all, c_all], axis=1)

@@ -97,26 +97,9 @@ def decode(e: Tensor, steps: int, p: DecoderParams, tf: TeacherForcing,
 
 
 # One name per decoder role, so that each can be timed on its own
-# (perfbench/tracer.py wraps these names).
-
-def intuitive_slot_decode(e: Tensor, steps: int, p: DecoderParams,
-                          tf: TeacherForcing) -> DecodeResult:
-    return decode(e, steps, p, tf)
-
-
-def rational_intent_decode(e: Tensor, steps: int, slot_y: Tensor, p: DecoderParams,
-                           tf: TeacherForcing) -> DecodeResult:
-    return decode(e, steps, p, tf, opposite_y=slot_y)
-
-
-def intuitive_intent_decode(e: Tensor, steps: int, p: DecoderParams,
-                            tf: TeacherForcing) -> DecodeResult:
-    return decode(e, steps, p, tf)
-
-
-def rational_slot_decode(e: Tensor, steps: int, intent_y: Tensor, p: DecoderParams,
-                         tf: TeacherForcing) -> DecodeResult:
-    return decode(e, steps, p, tf, opposite_y=intent_y)
+# (perfbench/tracer.py wraps these names); the rational roles pass ``opposite_y``.
+intuitive_slot_decode = rational_intent_decode = decode
+intuitive_intent_decode = rational_slot_decode = decode
 
 
 def slot_gold_onehots(slot_ids: np.ndarray, n_slots: int) -> np.ndarray:

@@ -69,70 +69,50 @@ class JointModel:
     def __init__(self, dims: ModelDims, flags: AblationFlags, rng: Rng | None):
         self.dims = dims
         self.flags = flags
-        h, emb = dims.hidden, dims.emb_dim
+        h, emb, n_slots, n_intents = dims.hidden, dims.emb_dim, dims.n_slots, dims.n_intents
         e_width = 2 * h + (emb if flags.gaussian_attention else 0)
 
         self.embedding = enc.init_embedding(dims.vocab_size, emb, rng)
         self.enc_fwd = enc.init_lstm(emb, h, rng)
         self.enc_bwd = enc.init_lstm(emb, h, rng)
-        self.attention = enc.init_gaussian_attention(zeros=rng is None)
-        self.dec_slot_intuitive = inter.init_decoder(dims.n_slots + e_width, h, dims.n_slots, rng)
+        self.attention = enc.init_gaussian_attention(rng)
+        self.dec_slot_intuitive = inter.init_decoder(n_slots + e_width, h, n_slots, rng)
         self.dec_intent_rational = inter.init_decoder(
-            dims.n_intents + dims.n_slots + e_width, h, dims.n_intents, rng)
-        self.dec_intent_intuitive = inter.init_decoder(dims.n_intents + e_width, h, dims.n_intents, rng)
+            n_intents + n_slots + e_width, h, n_intents, rng)
+        self.dec_intent_intuitive = inter.init_decoder(n_intents + e_width, h, n_intents, rng)
         self.dec_slot_rational = inter.init_decoder(
-            dims.n_slots + dims.n_intents + e_width, h, dims.n_slots, rng)
-        self.coop = coop.CooperationParams(slot_gate=coop.init_mlp(h, rng),
-                                           intent_gate=coop.init_mlp(h, rng))
+            n_slots + n_intents + e_width, h, n_slots, rng)
+        self.slot_gate = coop.init_mlp(h, rng)
+        self.intent_gate = coop.init_mlp(h, rng)
         bound = 1.0 / np.sqrt(h)
-        self.head_slot = ad.uniform_parameter(rng, bound, (dims.n_slots, h))
-        self.head_intent = ad.uniform_parameter(rng, bound, (dims.n_intents, h))
+        self.head_slot = ad.uniform_parameter(rng, bound, (n_slots, h))
+        self.head_intent = ad.uniform_parameter(rng, bound, (n_intents, h))
 
-        self.params: dict[str, Tensor] = {}
-        self._register()
+        def decoder(d: inter.DecoderParams) -> dict[str, Tensor]:
+            return {**vars(d.cell), "proj": d.proj}
 
-    def _register(self) -> None:
-        p = self.params
-        p["embedding.table"] = self.embedding.table
-        for name, cell in (("encoder.fwd", self.enc_fwd), ("encoder.bwd", self.enc_bwd)):
-            p[f"{name}.w_x"], p[f"{name}.w_h"], p[f"{name}.b"] = cell.w_x, cell.w_h, cell.b
-        p["attention.w_raw"] = self.attention.w_raw
-        p["attention.b_raw"] = self.attention.b_raw
-        for name, dec in self._decoders().items():
-            cell = dec.cell
-            p[f"{name}.w_x"], p[f"{name}.w_h"], p[f"{name}.b"] = cell.w_x, cell.w_h, cell.b
-            p[f"{name}.proj"] = dec.proj
-        for name, mlp in (("coop.slot_gate", self.coop.slot_gate),
-                          ("coop.intent_gate", self.coop.intent_gate)):
-            p[f"{name}.w1"], p[f"{name}.b1"] = mlp.w1, mlp.b1
-            p[f"{name}.w2"], p[f"{name}.b2"] = mlp.w2, mlp.b2
-        p["head.slot"] = self.head_slot
-        p["head.intent"] = self.head_intent
-
-    def _decoders(self) -> dict[str, inter.DecoderParams]:
-        return {
-            "decoder.slot_intuitive": self.dec_slot_intuitive,
-            "decoder.intent_rational": self.dec_intent_rational,
-            "decoder.intent_intuitive": self.dec_intent_intuitive,
-            "decoder.slot_rational": self.dec_slot_rational,
-        }
+        s2i, i2s, gates = flags.slot2intent, flags.intent2slot, flags.gates_active
+        # (checkpoint prefix, tensors, active under the flags), in checkpoint order
+        table = [
+            ("embedding", {"table": self.embedding.table}, True),
+            ("encoder.fwd", vars(self.enc_fwd), True),
+            ("encoder.bwd", vars(self.enc_bwd), True),
+            ("attention", vars(self.attention), flags.gaussian_attention),
+            ("decoder.slot_intuitive", decoder(self.dec_slot_intuitive), s2i),
+            ("decoder.intent_rational", decoder(self.dec_intent_rational), s2i),
+            ("decoder.intent_intuitive", decoder(self.dec_intent_intuitive), i2s),
+            ("decoder.slot_rational", decoder(self.dec_slot_rational), i2s),
+            ("coop.slot_gate", vars(self.slot_gate), gates),
+            ("coop.intent_gate", vars(self.intent_gate), gates),
+            ("head", {"slot": self.head_slot, "intent": self.head_intent}, True),
+        ]
+        self.params: dict[str, Tensor] = {
+            f"{prefix}.{name}": t for prefix, tensors, _ in table for name, t in tensors.items()}
+        self._inactive = {f"{prefix}.{name}" for prefix, tensors, active in table
+                          if not active for name in tensors}
 
     def active_param_names(self) -> list[str]:
-        flags = self.flags
-        active = []
-        for name in self.params:
-            if name.startswith("attention.") and not flags.gaussian_attention:
-                continue
-            if name.startswith(("decoder.slot_intuitive", "decoder.intent_rational")) \
-                    and not flags.slot2intent:
-                continue
-            if name.startswith(("decoder.intent_intuitive", "decoder.slot_rational")) \
-                    and not flags.intent2slot:
-                continue
-            if name.startswith("coop.") and not flags.gates_active:
-                continue
-            active.append(name)
-        return active
+        return [name for name in self.params if name not in self._inactive]
 
     def parameters(self, active_only: bool = True) -> list[tuple[str, Tensor]]:
         names = self.active_param_names() if active_only else list(self.params)
@@ -179,7 +159,7 @@ class JointModel:
         e = enc.encode_batch(
             batch.token_ids, batch.mask, self.embedding, self.enc_fwd, self.enc_bwd,
             self.attention if flags.gaussian_attention else None,
-            training=training, dropout_rate=dropout_rate, dropout_rng=dropout_rng).e
+            dropout_rate if training else 0.0, dropout_rng)
 
         if training and tf_rate > 0.0:
             slot_gold = inter.slot_gold_onehots(batch.slot_ids, self.dims.n_slots)
@@ -192,18 +172,18 @@ class JointModel:
         if flags.slot2intent:
             slot_intuitive = inter.intuitive_slot_decode(e, T, self.dec_slot_intuitive, slot_tf)
             intent_rational = inter.rational_intent_decode(
-                e, T, slot_intuitive.y, self.dec_intent_rational, intent_tf)
+                e, T, self.dec_intent_rational, intent_tf, opposite_y=slot_intuitive.y)
         if flags.intent2slot:
             intent_intuitive = inter.intuitive_intent_decode(e, T, self.dec_intent_intuitive,
                                                              intent_tf)
             slot_rational = inter.rational_slot_decode(
-                e, T, intent_intuitive.y, self.dec_slot_rational, slot_tf)
+                e, T, self.dec_slot_rational, slot_tf, opposite_y=intent_intuitive.y)
 
         if flags.gates_active:
             h_rs, h_is = slot_rational.h, slot_intuitive.h
-            h_slot = coop.fuse(h_rs, h_is, coop.gate(h_rs, self.coop.slot_gate))
+            h_slot = coop.fuse(h_rs, h_is, coop.gate(h_rs, self.slot_gate))
             h_ri, h_ii = intent_rational.h, intent_intuitive.h
-            intent_blend = coop.fuse(h_ri, h_ii, coop.gate(h_ri, self.coop.intent_gate))
+            intent_blend = coop.fuse(h_ri, h_ii, coop.gate(h_ri, self.intent_gate))
         else:
             h_slot = (slot_rational if flags.intent2slot else slot_intuitive).h
             intent_blend = (intent_rational if flags.slot2intent else intent_intuitive).h

@@ -53,6 +53,8 @@ class TrainConfig:
             raise ValueError(f"l2_decay must be finite and >= 0, got {self.l2_decay}")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 0:
             raise ValueError("batch_size and max_epochs must be >= 1, patience >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def flags(self) -> AblationFlags:
         return AblationFlags(
@@ -111,8 +113,9 @@ class Adam:
     the textbook expression's, so the result does not depend on the blocking,
     and no gradient buffer is written."""
 
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
     def __init__(self, params: list[tuple[str, Tensor]], lr: float, l2_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  frozen_rows: list[tuple[Tensor, int]] | None = None):
         for name, t in params:
             if not t.values.flags.c_contiguous:
@@ -121,7 +124,6 @@ class Adam:
         self.params = params
         self.lr = lr
         self.l2_decay = l2_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = {name: np.zeros(t.values.shape) for name, t in params}
         self.v = {name: np.zeros(t.values.shape) for name, t in params}
@@ -131,8 +133,8 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - self.BETA1 ** t
+        bc2 = 1.0 - self.BETA2 ** t
         for name, p in self.params:
             flat = (p.values.reshape(-1), p.grad.reshape(-1),
                     self.m[name].reshape(-1), self.v[name].reshape(-1))
@@ -147,18 +149,18 @@ class Adam:
         if self.l2_decay:
             np.multiply(p, self.l2_decay, out=s1)
             g = np.add(g, s1, out=s1)
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=s2)
-        v *= self.beta2
+        m *= self.BETA1
+        m += np.multiply(g, 1.0 - self.BETA1, out=s2)
+        v *= self.BETA2
         np.multiply(g, g, out=s2)
-        s2 *= 1.0 - self.beta2
+        s2 *= 1.0 - self.BETA2
         v += s2
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         step = np.divide(m, bc1, out=s1)
         step *= self.lr
         denom = np.divide(v, bc2, out=s2)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += self.EPS
         step /= denom
         p -= step
 

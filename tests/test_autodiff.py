@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import tiny_model
+
 from jointslu import autodiff as ad
+from jointslu import data as dat
 from jointslu.autodiff import Rng, ShapeError, Tape
 
 
@@ -153,20 +156,28 @@ class TestSoftmax:
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = ad.constant([[1.0, 2.0]])
-        assert ad.dropout(x, 0.0, Rng(0), training=True) is x
+        assert ad.dropout(x, 0.0, Rng(0)) is x
 
-    def test_eval_mode_is_identity(self):
-        x = ad.constant([[1.0, 2.0]])
-        assert ad.dropout(x, 0.9, Rng(0), training=False) is x
+    def test_eval_mode_is_identity(self, small_synth):
+        # an unrecorded forward applies no dropout and draws nothing
+        corpus, vocab = small_synth
+        model = tiny_model(vocab)
+        batch = dat.pad_batch(corpus.train[:4], vocab)
+        plain = model.forward(batch)
+        rng = Rng(0)
+        evaluated = model.forward(batch, training=False, dropout_rate=0.9, dropout_rng=rng)
+        assert np.array_equal(plain.y_slot.values, evaluated.y_slot.values)
+        assert np.array_equal(plain.y_intent.values, evaluated.y_intent.values)
+        assert rng.random() == Rng(0).random()
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            ad.dropout(ad.constant([1.0]), 1.0, Rng(0), training=True)
+            ad.dropout(ad.constant([1.0]), 1.0, Rng(0))
 
     def test_empirical_zero_fraction(self):
         rate = 0.4
         x = ad.constant(np.ones(100_000))
-        out = ad.dropout(x, rate, Rng(123), training=True).values
+        out = ad.dropout(x, rate, Rng(123)).values
         zero_fraction = (out == 0.0).mean()
         assert abs(zero_fraction - rate) <= 0.01
         # survivors are scaled by 1/(1-rate)

@@ -136,9 +136,40 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {data}: the {split} split is empty\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    def test_negative_seed_rejected_before_output(self, synth_dir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        data = ["--data", str(synth_dir)] if command == "train" else []
+        assert run([command, *data, "--out", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert list(out.iterdir()) == []
+
     def test_missing_data_dir_fails(self, tmp_path):
         assert run(["train", "--data", str(tmp_path / "nope"),
                     "--out", str(tmp_path / "out")]) == 1
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (["gradcheck", "--epsilon", "-1e-3"],
+         "jointslu gradcheck: argument --epsilon: expected one argument"),
+        (["train", "--hidden", "abc"], "jointslu train: argument --hidden: invalid int value"),
+        (["nonsense"], "jointslu: argument command: invalid choice: 'nonsense'"),
+        (["predict", "--text", "w0"],
+         "jointslu predict: the following arguments are required: --checkpoint"),
+    ])
+    def test_usage_error_is_one_error_line(self, capsys, argv, message):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["train", "--help"])
+        assert exit_info.value.code == 0
+        assert "--hidden" in capsys.readouterr().out
 
 
 class TestConfigFile:

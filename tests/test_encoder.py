@@ -174,7 +174,7 @@ class TestGaussianAttention:
         assert np.array_equal(w[:, ~mask], np.zeros((5, 2)))
 
     def test_reparameterization_signs(self):
-        p = enc.init_gaussian_attention()
+        p = enc.init_gaussian_attention(Rng(0))
         for raw in (-50.0, -1.0, 0.0, 3.0, 50.0):
             p.w_raw.values[:] = raw
             p.b_raw.values[:] = raw
@@ -188,7 +188,7 @@ class TestEncodeBatch:
         table = enc.init_embedding(vocab, emb, rng)
         fwd = enc.init_lstm(emb, hidden, rng)
         bwd = enc.init_lstm(emb, hidden, rng)
-        attn = enc.init_gaussian_attention() if attention else None
+        attn = enc.init_gaussian_attention(rng) if attention else None
         return table, fwd, bwd, attn
 
     def test_width_is_2h_plus_emb(self):
@@ -196,7 +196,7 @@ class TestEncodeBatch:
         table, fwd, bwd, attn = self.build(rng)
         ids = np.array([[2, 3, 4]])
         out = enc.encode_batch(ids, np.ones((1, 3), dtype=bool), table, fwd, bwd, attn)
-        assert out.e_width == 2 * 3 + 4
+        assert out.shape == (3, 2 * 3 + 4)
 
     def test_snips_default_width(self):
         # hidden 256 and embedding 512 give a 1024-wide representation
@@ -207,8 +207,7 @@ class TestEncodeBatch:
         table, fwd, bwd, _ = self.build(rng, attention=False)
         ids = np.array([[2, 3]])
         out = enc.encode_batch(ids, np.ones((1, 2), dtype=bool), table, fwd, bwd, None)
-        assert out.e_width == 6
-        assert out.c is None
+        assert out.shape == (2, 6)
 
     def test_padding_rows_zero(self):
         rng = Rng(12)
@@ -216,8 +215,8 @@ class TestEncodeBatch:
         ids = np.array([[2, 3, 0], [4, 5, 6]])
         mask = np.array([[True, True, False], [True, True, True]])
         out = enc.encode_batch(ids, mask, table, fwd, bwd, attn)
-        e = out.e.values.reshape(3, 2, out.e_width)    # [T, B, e_width]
-        assert np.array_equal(e[2, 0], np.zeros(out.e_width))
+        e = out.values.reshape(3, 2, out.shape[1])    # [T, B, e_width]
+        assert np.array_equal(e[2, 0], np.zeros(out.shape[1]))
 
     def test_padded_content_is_invisible(self):
         rng = Rng(13)
@@ -225,7 +224,7 @@ class TestEncodeBatch:
         mask = np.array([[True, True, False], [True, True, True]])
         a = enc.encode_batch(np.array([[2, 3, 0], [4, 5, 6]]), mask, table, fwd, bwd, attn)
         b = enc.encode_batch(np.array([[2, 3, 7], [4, 5, 6]]), mask, table, fwd, bwd, attn)
-        ea, eb = (out.e.values.reshape(3, 2, -1) for out in (a, b))   # [T, B, e_width]
+        ea, eb = (out.values.reshape(3, 2, -1) for out in (a, b))   # [T, B, e_width]
         for t in range(3):
             assert np.array_equal(ea[t, 1], eb[t, 1])
         assert np.array_equal(ea[0, 0], eb[0, 0])
@@ -234,9 +233,11 @@ class TestEncodeBatch:
     def test_encode_utterance_view(self):
         rng = Rng(14)
         table, fwd, bwd, attn = self.build(rng)
-        out = enc.encode_batch(np.array([[2, 3, 4]]), np.ones((1, 3), dtype=bool),
-                               table, fwd, bwd, attn)
-        assert out.e.shape == (3, 10)
-        assert out.h.shape == (3, 6)
-        assert out.c.shape == (3, 4)
-        assert np.array_equal(out.e.values, np.hstack([out.h.values, out.c.values]))
+        ids, mask = np.array([[2, 3, 4]]), np.ones((1, 3), dtype=bool)
+        out = enc.encode_batch(ids, mask, table, fwd, bwd, attn)
+        # one utterance: time-major rows are its tokens in order
+        x = enc.embed(ids, table)
+        h = enc.bilstm_forward(x, mask, fwd, bwd)
+        c, _ = enc.gaussian_self_attention(x, mask[0], *attn.effective())
+        assert out.shape == (3, 10)
+        assert np.array_equal(out.values, np.hstack([h.values, c.values]))

@@ -91,8 +91,9 @@ class TestDecoders:
         p = inter.init_decoder(3 + 2 + 4, 5, 3, rng)
         tf = inter.disabled_teacher_forcing()
         y_op = ad.constant(rng.uniform(0, 1, (6, 2)))
-        res_a = inter.rational_intent_decode(e, 3, y_op, p, tf)
-        res_b = inter.rational_intent_decode(e, 3, ad.constant(np.zeros((6, 2))), p, tf)
+        res_a = inter.rational_intent_decode(e, 3, p, tf, opposite_y=y_op)
+        res_b = inter.rational_intent_decode(e, 3, p, tf,
+                                             opposite_y=ad.constant(np.zeros((6, 2))))
         assert np.abs(res_a.y.values - res_b.y.values).max() > 0.0
 
     def test_eval_decode_is_deterministic(self):

@@ -5,9 +5,27 @@ from conftest import tiny_model
 
 from jointslu import autodiff as ad
 from jointslu import data as dat
+from jointslu import interaction as inter
 from jointslu import training as tr
 from jointslu.autodiff import Rng, Tape
 from jointslu.model import AblationFlags, ModelDims, build_model
+
+
+# Every parameter in checkpoint order; changing it changes the checkpoint bytes.
+PARAM_NAMES = [
+    "embedding.table",
+    "encoder.fwd.w_x", "encoder.fwd.w_h", "encoder.fwd.b",
+    "encoder.bwd.w_x", "encoder.bwd.w_h", "encoder.bwd.b",
+    "attention.w_raw", "attention.b_raw",
+    *(f"decoder.{role}.{t}"
+      for role in ("slot_intuitive", "intent_rational", "intent_intuitive", "slot_rational")
+      for t in ("w_x", "w_h", "b", "proj")),
+    *(f"coop.{gate}.{t}" for gate in ("slot_gate", "intent_gate")
+      for t in ("w1", "b1", "w2", "b2")),
+    "head.slot", "head.intent",
+]
+DECODE_ROLES = ("intuitive_slot_decode", "rational_intent_decode",
+                "intuitive_intent_decode", "rational_slot_decode")
 
 
 def grads_after_backward(model, batch, training=False, **kw):
@@ -49,6 +67,43 @@ class TestAblationStructure:
         assert not any(n.startswith("decoder.slot_rational") for n in active)
         assert not any(n.startswith("coop.") for n in active)
         assert any(n.startswith("decoder.slot_intuitive") for n in active)
+
+    @pytest.mark.parametrize("flags,inactive_prefixes", [
+        (AblationFlags(), ()),
+        (AblationFlags(slot2intent=False),
+         ("decoder.slot_intuitive.", "decoder.intent_rational.", "coop.")),
+        (AblationFlags(intent2slot=False),
+         ("decoder.intent_intuitive.", "decoder.slot_rational.", "coop.")),
+        (AblationFlags(gaussian_attention=False), ("attention.",)),
+        (AblationFlags(cooperation=False), ("coop.",)),
+    ])
+    def test_parameter_names_and_active_set(self, small_synth, flags, inactive_prefixes):
+        _, vocab = small_synth
+        model = tiny_model(vocab, flags=flags)
+        assert len(PARAM_NAMES) == 35
+        assert [n for n, _ in model.parameters(active_only=False)] == PARAM_NAMES
+        assert model.active_param_names() == [
+            n for n in PARAM_NAMES if not n.startswith(inactive_prefixes)]
+
+    @pytest.mark.parametrize("flags,roles", [
+        (AblationFlags(), DECODE_ROLES),
+        (AblationFlags(cooperation=False), DECODE_ROLES),
+        (AblationFlags(slot2intent=False), ("intuitive_intent_decode", "rational_slot_decode")),
+        (AblationFlags(intent2slot=False), ("intuitive_slot_decode", "rational_intent_decode")),
+    ])
+    def test_forward_calls_each_decode_role_once(self, small_synth, monkeypatch, flags, roles):
+        # the benchmark's tracer times each role by wrapping these names
+        corpus, vocab = small_synth
+        model = tiny_model(vocab, flags=flags)
+        calls = {}
+        for role in DECODE_ROLES:
+            def counted(*args, role=role, fn=getattr(inter, role), **kw):
+                calls[role] = calls.get(role, 0) + 1
+                return fn(*args, **kw)
+            monkeypatch.setattr(inter, role, counted)
+        model.forward(dat.pad_batch(corpus.train[:3], vocab), training=True, tf_rate=0.9,
+                      tf_rng=Rng(0))
+        assert calls == {role: 1 for role in roles}
 
     def test_flag_roundtrip_identical_outputs(self, small_synth):
         # the flags only reroute computation; toggling them on a fresh model
