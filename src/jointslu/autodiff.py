@@ -19,7 +19,7 @@ __all__ = [
     "constant", "parameter", "uniform_parameter",
     "matmul", "linear", "add", "sub", "mul",
     "concat", "sigmoid", "tanh", "softmax",
-    "dropout", "exp", "neg", "scale", "sum_all",
+    "dropout", "exp", "scale", "sum_all",
     "take_rows", "slice_cols", "nll",
     "lstm_scan", "gaussian_attention", "backward", "grad_check",
 ]
@@ -343,10 +343,6 @@ def scale(x: Tensor, c: float) -> Tensor:
         return (g * c,)
 
     return _record("scale", x.values * c, (x,), bk)
-
-
-def neg(x: Tensor) -> Tensor:
-    return scale(x, -1.0)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -78,7 +78,10 @@ def read_config_file(path: str) -> dict:
             if key not in _KEY_TO_FIELD:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             name = _KEY_TO_FIELD[key]
-            out[name] = _FIELD_TYPES[types[name]](raw.strip())
+            try:
+                out[name] = _FIELD_TYPES[types[name]](raw.strip())
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {key}: {e}") from None
     return out
 
 

@@ -52,7 +52,7 @@ class GaussianAttentionParams:
     b_raw: Tensor  # [1]
 
     def effective(self) -> tuple[Tensor, Tensor]:
-        return ad.exp(self.w_raw), ad.neg(ad.exp(self.b_raw))
+        return ad.exp(self.w_raw), ad.scale(ad.exp(self.b_raw), -1.0)
 
 
 # The initializers take ``rng=None`` for a model whose values will be loaded:

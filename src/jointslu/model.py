@@ -154,39 +154,46 @@ class JointModel:
     def forward(self, batch: UtteranceBatch, training: bool = False,
                 tf_rate: float = 0.0, tf_rng: Rng | None = None,
                 dropout_rate: float = 0.0, dropout_rng: Rng | None = None) -> ForwardResult:
+        if not 0.0 <= tf_rate <= 1.0:
+            raise ValueError(f"teacher forcing rate must be in [0, 1], got {tf_rate}")
         flags = self.flags
-        T = batch.token_ids.shape[1]
+        B, T = batch.token_ids.shape
         e = enc.encode_batch(
             batch.token_ids, batch.mask, self.embedding, self.enc_fwd, self.enc_bwd,
             self.attention if flags.gaussian_attention else None,
             dropout_rate if training else 0.0, dropout_rng)
 
+        # one [T, B] mask per running decoder, in call order; step 0 is never forced
+        force, slot_gold, intent_gold = [None] * 4, None, None
         if training and tf_rate > 0.0:
-            slot_gold = inter.slot_gold_onehots(batch.slot_ids, self.dims.n_slots)
-            intent_gold = inter.intent_gold_onehots(batch.intent_ids, self.dims.n_intents, T)
-            slot_tf = inter.TeacherForcing(tf_rate, tf_rng, slot_gold)
-            intent_tf = inter.TeacherForcing(tf_rate, tf_rng, intent_gold)
-        else:
-            slot_tf = intent_tf = inter.disabled_teacher_forcing()
-
+            n_decoders = 2 * (flags.slot2intent + flags.intent2slot)
+            force = np.zeros((n_decoders, T, B), dtype=bool)
+            force[:, 1:] = tf_rng.random((n_decoders, T - 1, B)) < tf_rate
+            slot_gold = inter.gold_onehots(batch.slot_ids, self.dims.n_slots)
+            intent_gold = inter.gold_onehots(np.repeat(batch.intent_ids[:, None], T, axis=1),
+                                             self.dims.n_intents)
+        forces, h = iter(force), self.dims.hidden
         if flags.slot2intent:
-            slot_intuitive = inter.intuitive_slot_decode(e, T, self.dec_slot_intuitive, slot_tf)
-            intent_rational = inter.rational_intent_decode(
-                e, T, self.dec_intent_rational, intent_tf, opposite_y=slot_intuitive.y)
+            out = inter.intuitive_slot_decode(e, T, self.dec_slot_intuitive,
+                                              force=next(forces), gold=slot_gold)
+            h_is, y_is = ad.slice_cols(out, 0, h), ad.slice_cols(out, h, out.shape[1])
+            h_ri = ad.slice_cols(inter.rational_intent_decode(
+                e, T, self.dec_intent_rational, opposite_y=y_is, force=next(forces),
+                gold=intent_gold), 0, h)
         if flags.intent2slot:
-            intent_intuitive = inter.intuitive_intent_decode(e, T, self.dec_intent_intuitive,
-                                                             intent_tf)
-            slot_rational = inter.rational_slot_decode(
-                e, T, self.dec_slot_rational, slot_tf, opposite_y=intent_intuitive.y)
+            out = inter.intuitive_intent_decode(e, T, self.dec_intent_intuitive,
+                                                force=next(forces), gold=intent_gold)
+            h_ii, y_ii = ad.slice_cols(out, 0, h), ad.slice_cols(out, h, out.shape[1])
+            h_rs = ad.slice_cols(inter.rational_slot_decode(
+                e, T, self.dec_slot_rational, opposite_y=y_ii, force=next(forces),
+                gold=slot_gold), 0, h)
 
         if flags.gates_active:
-            h_rs, h_is = slot_rational.h, slot_intuitive.h
             h_slot = coop.fuse(h_rs, h_is, coop.gate(h_rs, self.slot_gate))
-            h_ri, h_ii = intent_rational.h, intent_intuitive.h
             intent_blend = coop.fuse(h_ri, h_ii, coop.gate(h_ri, self.intent_gate))
         else:
-            h_slot = (slot_rational if flags.intent2slot else slot_intuitive).h
-            intent_blend = (intent_rational if flags.slot2intent else intent_intuitive).h
+            h_slot = h_rs if flags.intent2slot else h_is
+            intent_blend = h_ri if flags.slot2intent else h_ii
 
         h_intent = coop.fuse_intent(intent_blend, batch.mask)
         y_slot, y_intent = coop.predict(h_slot, h_intent, self.head_slot, self.head_intent)

@@ -198,6 +198,52 @@ class TestConfigFile:
             cli.read_config_file(str(cfg))
 
 
+    @pytest.mark.parametrize("line,message", [
+        ("hidden = 1.5", "hidden: invalid literal for int() with base 10: '1.5'"),
+        ("lambda = half", "lambda: could not convert string to float: 'half'"),
+        ("no_cooperation = maybe", "no_cooperation: expected a boolean, got 'maybe'"),
+    ])
+    def test_bad_value_names_file_line_and_key(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# header\n\n" + line + "\n")
+        assert run(["train", "--config", str(cfg), "--data", str(tmp_path / "none"),
+                    "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
+
+
+CONFIG_VALUES = ["1", "0", "-1", "0.5", "1.5", "1e400", "nan", "inf", "1_0", "true", "no", ""]
+CONFIG_LINES = st.one_of(
+    st.text(max_size=40),
+    st.builds("{}{}{}".format,
+              st.one_of(st.sampled_from(sorted(cli._KEY_TO_FIELD)), st.text(max_size=8)),
+              st.sampled_from(["=", " = ", "==", " "]),
+              st.one_of(st.sampled_from(CONFIG_VALUES), st.text(max_size=12))),
+)
+CONFIG_FILES = st.one_of(
+    st.lists(CONFIG_LINES, max_size=6).map(lambda lines: "\n".join(lines).encode("utf-8")),
+    st.binary(max_size=60),
+)
+
+
+class TestConfigFuzz:
+    @given(raw=CONFIG_FILES)
+    @settings(max_examples=150, deadline=None)
+    def test_garbage_config_fails_cleanly(self, tmp_path_factory, raw):
+        # the corpus directory is missing, so no config file can start a run
+        d = tmp_path_factory.mktemp("config")
+        cfg, out = d / "run.cfg", d / "out"
+        cfg.write_bytes(raw)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = run(["train", "--config", str(cfg), "--data", str(d / "missing"),
+                        "--out", str(out)])
+        err = stderr.getvalue()
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert stdout.getvalue() == ""
+        assert not out.exists()
+
+
 class TestEvaluate:
     def test_report_to_stdout_and_file(self, trained_dir, synth_dir, tmp_path, capsys):
         out, _ = trained_dir

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import tiny_model
+
 from jointslu import autodiff as ad
+from jointslu import data as dat
 from jointslu import interaction as inter
 from jointslu.autodiff import Rng
 from test_lstm_scan import reference_decode
@@ -12,28 +15,53 @@ def make_e(rng, T, B, width):
     return ad.constant(rng.uniform(-1, 1, (T * B, width)))
 
 
-class TestTeacherForcing:
-    def test_rate_bounds(self):
-        with pytest.raises(ValueError):
-            inter.TeacherForcing(rate=1.5, rng=Rng(0), gold=None)
+def split(out, hidden):
+    """The hidden states and distributions of a decode output [T*B, hidden + K]."""
+    return out.values[:, :hidden], out.values[:, hidden:]
 
-    def test_rate_one_forces_every_prev(self):
+
+def forced_after_step_zero(T, B):
+    force = np.ones((T, B), dtype=bool)
+    force[0] = False
+    return force
+
+
+class TestTeacherForcing:
+    def test_rate_bounds(self, small_synth):
+        corpus, vocab = small_synth
+        batch = dat.pad_batch(corpus.train[:2], vocab)
+        for rate in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="teacher forcing rate"):
+                tiny_model(vocab).forward(batch, training=True, tf_rate=rate, tf_rng=Rng(0))
+
+    def test_rate_one_forces_every_prev(self, small_synth):
         rng = Rng(1)
         e = make_e(rng, 3, 2, 4)
         p = inter.init_decoder(3 + 4, 5, 3, rng)
         gold = np.vstack([np.eye(3)[[0, 1]], np.eye(3)[[1, 2]], np.eye(3)[[2, 0]]])
-        tf = inter.TeacherForcing(rate=1.0, rng=Rng(2), gold=gold)
-        force = tf.draw(3, 2)
-        assert not force[0].any() and force[1:].all()
-        res = inter.decode(e, 3, p, inter.TeacherForcing(rate=1.0, rng=Rng(2), gold=gold))
+        force = forced_after_step_zero(3, 2)
+        h, _ = split(inter.decode(e, 3, p, force=force, gold=gold), 5)
         h_ref, _, inputs = reference_decode(e, 3, p, force=force, gold=gold)
         # the previous-label part of the step-2 input is the gold of step 1
         assert np.array_equal(inputs[2][:, :3], gold[2:4])
-        assert np.abs(res.h.values - h_ref.values).max() <= 1e-12
+        assert np.abs(h - h_ref.values).max() <= 1e-12
+        # at rate 1 the model forces every row after step 0, whatever the draws
+        corpus, vocab = small_synth
+        batch = dat.pad_batch(corpus.train[:4], vocab)
+        model = tiny_model(vocab)
+        a = model.forward(batch, training=True, tf_rate=1.0, tf_rng=Rng(2))
+        b = model.forward(batch, training=True, tf_rate=1.0, tf_rng=Rng(3))
+        assert np.array_equal(a.y_slot.values, b.y_slot.values)
 
-    def test_rate_zero_passes_through(self):
-        tf = inter.disabled_teacher_forcing()
-        assert tf.draw(4, 2) is None
+    def test_rate_zero_passes_through(self, small_synth):
+        corpus, vocab = small_synth
+        batch = dat.pad_batch(corpus.train[:4], vocab)
+        model = tiny_model(vocab)
+        tf_rng = Rng(4)
+        state = tf_rng.bit_generator.state
+        free = model.forward(batch, training=True, tf_rate=0.0, tf_rng=tf_rng)
+        assert tf_rng.bit_generator.state == state
+        assert np.array_equal(free.y_slot.values, model.forward(batch).y_slot.values)
 
 
 class TestDecoders:
@@ -51,33 +79,32 @@ class TestDecoders:
 
         ad.lstm_scan = spy
         try:
-            first = inter.intuitive_slot_decode(e, 2, p, inter.disabled_teacher_forcing())
+            first = inter.intuitive_slot_decode(e, 2, p).values
         finally:
             ad.lstm_scan = original
         # the previous-label columns of w_x do not reach step 0
         p.cell.w_x.values[:, :2] = rng.uniform(-1, 1, (20, 2))
-        moved = inter.intuitive_slot_decode(e, 2, p, inter.disabled_teacher_forcing())
-        assert np.array_equal(first.h.values[:1], moved.h.values[:1])
-        assert not np.array_equal(first.h.values[1:], moved.h.values[1:])
+        moved = inter.intuitive_slot_decode(e, 2, p).values
+        assert np.array_equal(first[:1], moved[:1])
+        assert not np.array_equal(first[1:], moved[1:])
         assert np.array_equal(captured["x"][:1], e.values[:1])
 
     def test_rows_are_distributions(self):
         rng = Rng(4)
         e = make_e(rng, 4, 3, 6)
         p = inter.init_decoder(3 + 6, 5, 3, rng)
-        res = inter.intuitive_intent_decode(e, 4, p, inter.disabled_teacher_forcing())
-        assert res.y.shape == (12, 3)
-        assert np.abs(res.y.values.sum(axis=1) - 1.0).max() <= 1e-12
+        _, y = split(inter.intuitive_intent_decode(e, 4, p), 5)
+        assert y.shape == (12, 3)
+        assert np.abs(y.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_intuitive_decoders_are_symmetric(self):
         # same parameters and label count -> identical traces
         rng = Rng(5)
         e = make_e(rng, 3, 2, 4)
         p = inter.init_decoder(3 + 4, 5, 3, Rng(6))
-        tf = inter.disabled_teacher_forcing()
-        slot = inter.intuitive_slot_decode(e, 3, p, tf)
-        intent = inter.intuitive_intent_decode(e, 3, p, tf)
-        assert np.array_equal(slot.y.values, intent.y.values)
+        slot = inter.intuitive_slot_decode(e, 3, p)
+        intent = inter.intuitive_intent_decode(e, 3, p)
+        assert np.array_equal(slot.values, intent.values)
 
     def test_rational_input_width(self):
         rng = Rng(7)
@@ -89,21 +116,19 @@ class TestDecoders:
         rng = Rng(8)
         e = make_e(rng, 3, 2, 4)
         p = inter.init_decoder(3 + 2 + 4, 5, 3, rng)
-        tf = inter.disabled_teacher_forcing()
         y_op = ad.constant(rng.uniform(0, 1, (6, 2)))
-        res_a = inter.rational_intent_decode(e, 3, p, tf, opposite_y=y_op)
-        res_b = inter.rational_intent_decode(e, 3, p, tf,
-                                             opposite_y=ad.constant(np.zeros((6, 2))))
-        assert np.abs(res_a.y.values - res_b.y.values).max() > 0.0
+        _, y_a = split(inter.rational_intent_decode(e, 3, p, opposite_y=y_op), 5)
+        _, y_b = split(inter.rational_intent_decode(
+            e, 3, p, opposite_y=ad.constant(np.zeros((6, 2)))), 5)
+        assert np.abs(y_a - y_b).max() > 0.0
 
     def test_eval_decode_is_deterministic(self):
         rng = Rng(9)
         e = make_e(rng, 3, 2, 4)
         p = inter.init_decoder(3 + 4, 5, 3, rng)
-        tf = inter.disabled_teacher_forcing()
-        a = inter.intuitive_slot_decode(e, 3, p, tf)
-        b = inter.intuitive_slot_decode(e, 3, p, tf)
-        assert np.array_equal(a.y.values, b.y.values)
+        a = inter.intuitive_slot_decode(e, 3, p)
+        b = inter.intuitive_slot_decode(e, 3, p)
+        assert np.array_equal(a.values, b.values)
 
     def test_gradient_through_three_token_decode(self):
         rng = Rng(10)
@@ -112,8 +137,8 @@ class TestDecoders:
         gold = np.array([0, 2, 1])
 
         def f():
-            res = inter.intuitive_slot_decode(e_param, 3, p, inter.disabled_teacher_forcing())
-            return ad.nll(res.y, gold)
+            out = inter.intuitive_slot_decode(e_param, 3, p)
+            return ad.nll(ad.slice_cols(out, 5, 8), gold)
 
         err = ad.grad_check(f, [e_param, p.cell.w_x, p.cell.w_h, p.cell.b, p.proj], 1e-4)
         assert err <= 1e-5
@@ -126,9 +151,9 @@ class TestDecoders:
         gold_ids = np.array([1, 0, 1])
 
         def f():
-            tf = inter.TeacherForcing(rate=1.0, rng=Rng(12), gold=gold)
-            res = inter.intuitive_slot_decode(e_param, 3, p, tf)
-            return ad.nll(res.y, gold_ids)
+            out = inter.intuitive_slot_decode(e_param, 3, p, force=forced_after_step_zero(3, 1),
+                                              gold=gold)
+            return ad.nll(ad.slice_cols(out, 5, 7), gold_ids)
 
         assert ad.grad_check(f, [e_param, p.cell.w_x, p.proj], 1e-4) <= 1e-5
 
@@ -136,12 +161,13 @@ class TestDecoders:
 class TestGoldOnehots:
     def test_slot_onehots_with_sentinel(self):
         ids = np.array([[0, 2, -1], [1, -1, -1]])
-        oh = inter.slot_gold_onehots(ids, 3)          # time-major [T*B, 3]
+        oh = inter.gold_onehots(ids, 3)          # time-major [T*B, 3]
         assert np.array_equal(oh[0:2], [[1, 0, 0], [0, 1, 0]])
         assert np.array_equal(oh[4:6], np.zeros((2, 3)))
 
     def test_intent_onehots_repeat(self):
-        oh = inter.intent_gold_onehots(np.array([1, 0]), 2, T=3)
+        # the utterance intent repeated over T = 3 steps
+        oh = inter.gold_onehots(np.repeat(np.array([[1], [0]]), 3, axis=1), 2)
         assert oh.shape == (6, 2)
         assert np.array_equal(oh[0:2], [[0, 1], [1, 0]])
         assert np.array_equal(oh[0:2], oh[4:6])

@@ -70,7 +70,8 @@ def decoder_case(rng, T=4, B=3, e_width=5, K=3, K_op=2, hidden=6, rate=0.5):
     y_op = ad.parameter(rng.uniform(0, 1, (T * B, K_op)))
     p = inter.init_decoder(K + K_op + e_width, hidden, K, rng)
     gold = np.eye(K)[rng.integers(0, K, T * B)]
-    force = inter.TeacherForcing(rate=rate, rng=rng, gold=gold).draw(T, B)
+    force = np.zeros((T, B), dtype=bool)
+    force[1:] = rng.random((T - 1, B)) < rate
     return e, y_op, p, gold, force
 
 
@@ -126,8 +127,6 @@ class TestLstmScanOracle:
     def test_decoder_scan_matches_lstm_step_loop(self):
         rng = Rng(33)
         e, y_op, p, gold, force = decoder_case(rng, rate=0.5)
-        tf = inter.TeacherForcing(rate=0.5, rng=None, gold=gold)
-        tf.draw = lambda steps, batch: force
         w_h_out = ad.constant(rng.uniform(-1, 1, (12, 6)))
         w_y_out = ad.constant(rng.uniform(-1, 1, (12, 3)))
         params = [e, y_op, p.cell.w_x, p.cell.w_h, p.cell.b, p.proj]
@@ -135,20 +134,19 @@ class TestLstmScanOracle:
         def loss(h, y):
             return ad.add(ad.sum_all(ad.mul(h, w_h_out)), ad.sum_all(ad.mul(y, w_y_out)))
 
-        fused = inter.decode(e, 4, p, tf, opposite_y=y_op)
+        def fused():
+            out = inter.decode(e, 4, p, opposite_y=y_op, force=force, gold=gold)
+            return ad.slice_cols(out, 0, 6), ad.slice_cols(out, 6, 9)
+
+        h_fused, y_fused = fused()
         h_ref, y_ref, _ = reference_decode(e, 4, p, force, gold, opposite_y=y_op)
-        assert np.abs(fused.h.values - h_ref.values).max() <= 1e-12
-        assert np.abs(fused.y.values - y_ref.values).max() <= 1e-12
-        _, g_fused = grads_of(lambda: loss(*_hy(inter.decode(e, 4, p, tf, opposite_y=y_op))),
-                              params)
+        assert np.abs(h_fused.values - h_ref.values).max() <= 1e-12
+        assert np.abs(y_fused.values - y_ref.values).max() <= 1e-12
+        _, g_fused = grads_of(lambda: loss(*fused()), params)
         _, g_oracle = grads_of(lambda: loss(*reference_decode(e, 4, p, force, gold,
                                                               opposite_y=y_op)[:2]), params)
         for a, b in zip(g_fused, g_oracle):
             assert np.abs(a - b).max() <= 1e-12
-
-
-def _hy(res):
-    return res.h, res.y
 
 
 class TestLstmScanShapes:

@@ -187,6 +187,23 @@ class TestForward:
         diff = np.abs(free.y_slot.values - forced.y_slot.values).max()
         assert diff > 0
 
+    @pytest.mark.parametrize("flags,n_decoders", [
+        (AblationFlags(), 4),
+        (AblationFlags(slot2intent=False), 2),
+        (AblationFlags(intent2slot=False), 2),
+    ])
+    def test_teacher_forcing_draws_one_double_per_row_step_and_decoder(
+            self, small_synth, flags, n_decoders):
+        # steps 1..T-1 of each running decoder draw one double per batch row
+        corpus, vocab = small_synth
+        batch = dat.pad_batch(corpus.train[:5], vocab)
+        B, T = batch.token_ids.shape
+        drawn, expected = Rng(4), Rng(4)
+        tiny_model(vocab, flags=flags).forward(batch, training=True, tf_rate=0.9,
+                                               tf_rng=drawn)
+        expected.random(n_decoders * (T - 1) * B)
+        assert drawn.bit_generator.state == expected.bit_generator.state
+
     def test_training_step_node_budget(self):
         # one recorded node per LSTM scan, one for the batch's self-attention,
         # and one pass of the cooperation layer and losses over all rows
@@ -200,7 +217,9 @@ class TestForward:
             result = model.forward(batch, training=True, tf_rate=0.9, tf_rng=Rng(0),
                                    dropout_rate=0.1, dropout_rng=Rng(1))
             tr.batch_loss(result, batch, 0.5)
-        assert len(tape.nodes) <= 51
+        assert len(tape.nodes) <= 49
+        # the hidden states of all four decoders and the intuitive distributions
+        assert sum(n.name == "slice_cols" for n in tape.nodes) == 6
         assert sum(n.name == "nll" for n in tape.nodes) == 2
         assert sum(n.name == "lstm_scan" for n in tape.nodes) == 6
         assert sum(n.name == "gaussian_attention" for n in tape.nodes) == 1
