@@ -25,10 +25,6 @@ class DecoderParams:
     cell: LstmParams
     proj: Tensor   # [n_labels, hidden]
 
-    @property
-    def n_labels(self) -> int:
-        return self.proj.shape[0]
-
 
 def init_decoder(input_size: int, hidden: int, n_labels: int,
                  rng: Rng | None) -> DecoderParams:

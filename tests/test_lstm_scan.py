@@ -27,7 +27,7 @@ def reference_scan(x, T, p, mask, reverse=False):
 def reference_decode(e, T, p, force=None, gold=None, opposite_y=None):
     """Per-step decode; returns (h [T*B, hidden], y [T*B, K], the T step inputs)."""
     B = e.shape[0] // T
-    K = p.n_labels
+    K = p.proj.shape[0]
     h = ad.constant(np.zeros((B, p.cell.hidden)))
     c = ad.constant(np.zeros((B, p.cell.hidden)))
     hs, ys, inputs = [], [], []
