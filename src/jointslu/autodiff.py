@@ -19,7 +19,7 @@ __all__ = [
     "constant", "parameter", "uniform_parameter",
     "matmul", "linear", "add", "sub", "mul",
     "concat", "sigmoid", "tanh", "softmax",
-    "dropout", "exp", "scale", "sum_all",
+    "exp", "scale", "sum_all",
     "take_rows", "slice_cols", "nll",
     "lstm_scan", "gaussian_attention", "backward", "grad_check",
 ]
@@ -313,20 +313,6 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     return _record("softmax", out, (x,), bk)
 
 
-def dropout(x: Tensor, rate: float, rng: Rng | None) -> Tensor:
-    """Inverted dropout; rate 0 returns ``x`` itself and draws nothing."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return x
-    keep = (rng.random(x.values.shape) >= rate) / (1.0 - rate)
-
-    def bk(g):
-        return (g * keep,)
-
-    return _record("dropout", x.values * keep, (x,), bk)
-
-
 def exp(x: Tensor) -> Tensor:
     out = np.exp(x.values)
 
@@ -593,9 +579,7 @@ def gaussian_attention(x: Tensor, mask: np.ndarray, w: Tensor,
             dx += ds @ xb
             dx += ds.transpose(0, 2, 1) @ xb
             dx = dx.transpose(1, 0, 2).reshape(T * B, d)
-        # summed from the last utterance down, the order a per-utterance tape
-        # accumulates in, so w and b get the same bits as it gives
-        du = -ds[::-1].sum(axis=0) * np.sign(u)
+        du = -ds.sum(axis=0) * np.sign(u)
         return (dx,
                 np.full(wv.shape, (du * d2).sum()) if w.requires_grad else None,
                 np.full(bv.shape, du.sum()) if b.requires_grad else None)

@@ -66,8 +66,13 @@ def read_config_file(path: str) -> dict:
     """Parse a flat key = value file into RunConfig field values."""
     types = {f.name: f.type for f in fields(RunConfig)}
     out = {}
-    with open(path, encoding="utf-8") as f:
+    # undecodable bytes read as lone surrogates, which do not encode back
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -151,16 +156,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ckpt = tr.load_checkpoint(args.checkpoint)
     corpus = dat.load_corpus(args.data)
     samples = corpus.split(args.split)
-    for s in samples:
-        for tag in set(s.slot_tags):
-            if tag not in ckpt.vocab.tag_to_id:
-                raise ValueError(f"vocabulary mismatch: slot tag {tag!r} in {args.split} "
-                                 f"split is unknown to the checkpoint "
-                                 f"({ckpt.dims.n_slots} slot tags)")
-        if s.intent not in ckpt.vocab.intent_to_id:
-            raise ValueError(f"vocabulary mismatch: intent {s.intent!r} in {args.split} "
-                             f"split is unknown to the checkpoint "
-                             f"({ckpt.dims.n_intents} intents)")
     model = ckpt.build_model()
     report = tr.evaluate_model(model, samples, ckpt.vocab, args.batch_size)
     text = report.to_text()

@@ -197,6 +197,14 @@ class UtteranceBatch:
         return self.token_ids.shape[1]
 
 
+def _label_ids(to_id: dict[str, int], labels: list[str], kind: str) -> list[int]:
+    try:
+        return [to_id[label] for label in labels]
+    except KeyError as e:
+        raise ValueError(f"vocabulary mismatch: {kind} {e.args[0]!r} is not in the "
+                         f"vocabulary ({len(to_id)} {kind}s)") from None
+
+
 def pad_batch(samples: list[Sample], vocab: Vocab) -> UtteranceBatch:
     if not samples:
         raise ValueError("cannot batch an empty sample list")
@@ -207,8 +215,8 @@ def pad_batch(samples: list[Sample], vocab: Vocab) -> UtteranceBatch:
     intent_ids = np.zeros(B, dtype=np.int64)
     for i, s in enumerate(samples):
         token_ids[i, : lengths[i]] = [vocab.word_id(t) for t in s.tokens]
-        slot_ids[i, : lengths[i]] = [vocab.tag_to_id[t] for t in s.slot_tags]
-        intent_ids[i] = vocab.intent_to_id[s.intent]
+        slot_ids[i, : lengths[i]] = _label_ids(vocab.tag_to_id, s.slot_tags, "slot tag")
+        intent_ids[i] = _label_ids(vocab.intent_to_id, [s.intent], "intent")[0]
     mask = np.arange(T)[None, :] < lengths[:, None]
     return UtteranceBatch(token_ids, lengths, slot_ids, intent_ids, mask)
 

@@ -3,7 +3,9 @@
 The per-token representation concatenates the BiLSTM state with a context
 vector from self-attention whose scores carry an additive penalty
 ``-|w * d^2 + b|`` on the squared token distance d, biasing weights toward
-local context. Both branches read the (dropout-regularized) word embeddings.
+local context. Both branches read the same word embeddings, gathered once
+in time-major order (row ``t * B + b`` is utterance b's token t) and
+regularized by inverted dropout whose mask is drawn batch-major.
 """
 
 from __future__ import annotations
@@ -107,21 +109,6 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams) -> tuple
     return h_new, c
 
 
-def bilstm_forward(x: Tensor, mask: np.ndarray, fwd: LstmParams, bwd: LstmParams) -> Tensor:
-    """Per-token [T*B, 2h] states of time-major input x [T*B, in], with mask
-    [B, T]; rows at masked positions are exactly zero.
-
-    Both scans hold their state at zero across masked steps, so the backward
-    scan effectively starts fresh at each row's true last token.
-    """
-    T = mask.shape[1]
-    if T < 1 or x.shape[0] == 0:
-        raise ShapeError("bilstm_forward needs at least one timestep")
-    h_fwd = ad.lstm_scan(x, fwd.w_x, fwd.w_h, fwd.b, T, mask=mask)
-    h_bwd = ad.lstm_scan(x, bwd.w_x, bwd.w_h, bwd.b, T, mask=mask, reverse=True)
-    return ad.concat([h_fwd, h_bwd], axis=1)
-
-
 def gaussian_self_attention(x: Tensor, mask: np.ndarray, w_eff: Tensor,
                             b_eff: Tensor) -> tuple[Tensor, np.ndarray]:
     """Context vectors and attention weights of time-major x [T*B, d] under a
@@ -143,17 +130,23 @@ def encode_batch(token_ids: np.ndarray, mask: np.ndarray, emb_table: EmbeddingTa
                  attn: GaussianAttentionParams | None, dropout_rate: float = 0.0,
                  dropout_rng: Rng | None = None) -> Tensor:
     """Time-major features [T*B, e_width] (row ``t * B + b`` is utterance b's token
-    t): the BiLSTM state, then the attention context when attention is on.
-    Padded embedding rows need no mask: the scans hold their state at zero
-    at masked steps and attention ignores masked keys and queries, so no output
-    or gradient depends on a padded row."""
+    t): the forward and backward LSTM states, then the attention context when
+    attention is on. The dropout mask is drawn batch-major, ``[B, T, emb]``, and
+    transposed; rate 0 draws nothing. Padded embedding rows need no mask: the
+    scans hold their state at zero at masked steps and attention ignores masked
+    keys and queries, so no output or gradient depends on a padded row."""
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
     B, T = token_ids.shape
     if T < 1:
         raise ShapeError("cannot encode an empty batch")
-    emb_all = embed(token_ids, emb_table)                      # [B*T, emb]
-    emb_all = ad.dropout(emb_all, dropout_rate, dropout_rng)
-    time_major = np.arange(B * T).reshape(B, T).T.reshape(-1)  # row t*B+b <- b*T+t
-    x = ad.take_rows(emb_all, time_major)
-    c_all = None if attn is None else gaussian_self_attention(x, mask, *attn.effective())[0]
-    h_all = bilstm_forward(x, mask, fwd, bwd)
-    return h_all if c_all is None else ad.concat([h_all, c_all], axis=1)
+    x = embed(token_ids.T, emb_table)                          # [T*B, emb]
+    if dropout_rate:
+        kept = dropout_rng.random((B, T, x.shape[1])) >= dropout_rate
+        x = ad.mul(x, ad.constant(kept.transpose(1, 0, 2).reshape(T * B, -1)
+                                  / (1.0 - dropout_rate)))
+    # recorded before the scans, so x's adjoint adds attention's gradient last
+    parts = [] if attn is None else [gaussian_self_attention(x, mask, *attn.effective())[0]]
+    h_fwd = ad.lstm_scan(x, fwd.w_x, fwd.w_h, fwd.b, T, mask=mask)
+    h_bwd = ad.lstm_scan(x, bwd.w_x, bwd.w_h, bwd.b, T, mask=mask, reverse=True)
+    return ad.concat([h_fwd, h_bwd, *parts], axis=1)

@@ -5,6 +5,7 @@ from conftest import tiny_model
 
 from jointslu import autodiff as ad
 from jointslu import data as dat
+from jointslu import encoder as enc
 from jointslu.autodiff import Rng, ShapeError, Tape
 
 
@@ -153,10 +154,23 @@ class TestSoftmax:
         assert ad.grad_check(f, [x], 1e-5) <= 1e-6
 
 
+def encode_with_dropout(rate, rng, tokens=4, emb=3):
+    """Encode one utterance of ``tokens`` ids at dropout ``rate``."""
+    init = Rng(0)
+    table = enc.init_embedding(tokens + 1, emb, init)
+    fwd, bwd = enc.init_lstm(emb, 2, init), enc.init_lstm(emb, 2, init)
+    ids = np.arange(1, tokens + 1)[None, :]
+    return enc.encode_batch(ids, ids > 0, table, fwd, bwd, None, rate, rng)
+
+
 class TestDropout:
     def test_rate_zero_is_identity(self):
-        x = ad.constant([[1.0, 2.0]])
-        assert ad.dropout(x, 0.0, Rng(0)) is x
+        rng = Rng(0)
+        with Tape() as tape:
+            out = encode_with_dropout(0.0, rng)
+        assert np.array_equal(out.values, encode_with_dropout(0.0, None).values)
+        assert not any(n.name == "mul" for n in tape.nodes)
+        assert rng.random() == Rng(0).random()
 
     def test_eval_mode_is_identity(self, small_synth):
         # an unrecorded forward applies no dropout and draws nothing
@@ -171,17 +185,21 @@ class TestDropout:
         assert rng.random() == Rng(0).random()
 
     def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            ad.dropout(ad.constant([1.0]), 1.0, Rng(0))
+        for rate in (1.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="dropout rate"):
+                encode_with_dropout(rate, Rng(0))
 
     def test_empirical_zero_fraction(self):
         rate = 0.4
-        x = ad.constant(np.ones(100_000))
-        out = ad.dropout(x, rate, Rng(123)).values
-        zero_fraction = (out == 0.0).mean()
+        with Tape() as tape:
+            encode_with_dropout(rate, Rng(123), tokens=100, emb=1000)
+        (node,) = [n for n in tape.nodes if n.name == "mul"]
+        keep = node.inputs[1].values
+        assert keep.shape == (100, 1000)
+        zero_fraction = (keep == 0.0).mean()
         assert abs(zero_fraction - rate) <= 0.01
         # survivors are scaled by 1/(1-rate)
-        assert np.allclose(out[out != 0], 1.0 / (1.0 - rate))
+        assert np.all(keep[keep != 0] == 1.0 / (1.0 - rate))
 
 
 class TestBackward:

@@ -210,6 +210,13 @@ class TestConfigFile:
                     "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
 
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"hidden = 8\nemb_dim = \xff\n")
+        assert run(["train", "--config", str(cfg), "--data", str(tmp_path / "none"),
+                    "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: not valid UTF-8\n"
+
 
 CONFIG_VALUES = ["1", "0", "-1", "0.5", "1.5", "1e400", "nan", "inf", "1_0", "true", "no", ""]
 CONFIG_LINES = st.one_of(

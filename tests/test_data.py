@@ -129,6 +129,17 @@ class TestPadBatch:
         with pytest.raises(ValueError):
             dat.pad_batch([], self.vocab())
 
+    @pytest.mark.parametrize("sample,message", [
+        (dat.Sample(["a"], ["B-galaxy"], "x"),
+         "vocabulary mismatch: slot tag 'B-galaxy' is not in the vocabulary (1 slot tags)"),
+        (dat.Sample(["a"], ["O"], "warp"),
+         "vocabulary mismatch: intent 'warp' is not in the vocabulary (1 intents)"),
+    ])
+    def test_unknown_label_rejected(self, sample, message):
+        with pytest.raises(ValueError) as info:
+            dat.pad_batch([sample], self.vocab())
+        assert str(info.value) == message
+
 
 class TestSyntheticGenerator:
     def test_deterministic_and_roundtrip(self, tmp_path):

@@ -6,9 +6,13 @@ from jointslu import encoder as enc
 from jointslu.autodiff import Rng, ShapeError, Tape
 
 
-def steps_from(matrix):
-    """A single utterance's [T, in] rows as a time-major [T*1, in] tensor."""
-    return ad.constant(matrix)
+def encode_rows(x, mask, fwd, bwd):
+    """``[h_fwd, h_bwd]`` of time-major rows x [T*B, in] under a [B, T] mask,
+    through ``encode_batch`` with x as the embedding table."""
+    x = x if isinstance(x, ad.Tensor) else ad.constant(x)
+    B, T = mask.shape
+    ids = np.arange(T * B).reshape(T, B).T
+    return enc.encode_batch(ids, mask, enc.EmbeddingTable(x, pad_id=0), fwd, bwd, None)
 
 
 def zero_lstm(in_size, h):
@@ -92,7 +96,7 @@ class TestBilstm:
         rng = Rng(3)
         fwd, bwd = enc.init_lstm(3, 5, rng), enc.init_lstm(3, 5, rng)
         x = rng.uniform(-1, 1, (1, 3))
-        H = enc.bilstm_forward(steps_from(x), np.ones((1, 1), dtype=bool), fwd, bwd)
+        H = encode_rows(x, np.ones((1, 1), dtype=bool), fwd, bwd)
         zero_h = ad.constant(np.zeros((1, 5)))
         zero_c = ad.constant(np.zeros((1, 5)))
         hf, _ = enc.lstm_step(ad.constant(x), zero_h, zero_c, fwd)
@@ -104,8 +108,8 @@ class TestBilstm:
         fwd, bwd = enc.init_lstm(3, 5, rng), enc.init_lstm(3, 5, rng)
         x = rng.uniform(-1, 1, (3, 3))
         mask = np.ones((1, 3), dtype=bool)
-        H = enc.bilstm_forward(steps_from(x), mask, fwd, bwd).values
-        H_rev = enc.bilstm_forward(steps_from(x[::-1]), mask, bwd, fwd).values
+        H = encode_rows(x, mask, fwd, bwd).values
+        H_rev = encode_rows(x[::-1], mask, bwd, fwd).values
         assert np.allclose(H[:, :5], H_rev[::-1, 5:])
         assert np.allclose(H[:, 5:], H_rev[::-1, :5])
 
@@ -114,7 +118,7 @@ class TestBilstm:
         fwd, bwd = enc.init_lstm(3, 4, rng), enc.init_lstm(3, 4, rng)
         mask = np.array([[True, True, False], [True, True, True]])
         xs = ad.constant(np.vstack([rng.uniform(-1, 1, (2, 3)) for _ in range(3)]))
-        H = enc.bilstm_forward(xs, mask, fwd, bwd).values.reshape(3, 2, 8)
+        H = encode_rows(xs, mask, fwd, bwd).values.reshape(3, 2, 8)
         assert np.array_equal(H[2, 0], np.zeros(8))
         assert not np.array_equal(H[2, 1], np.zeros(8))
 
@@ -122,8 +126,7 @@ class TestBilstm:
         rng = Rng(6)
         fwd, bwd = enc.init_lstm(3, 4, rng), enc.init_lstm(3, 4, rng)
         with pytest.raises(ShapeError):
-            enc.bilstm_forward(ad.constant(np.zeros((0, 3))), np.ones((1, 0), dtype=bool),
-                               fwd, bwd)
+            encode_rows(np.zeros((0, 3)), np.ones((1, 0), dtype=bool), fwd, bwd)
 
     def test_gradient_four_tokens_hidden_six(self):
         rng = Rng(7)
@@ -132,7 +135,7 @@ class TestBilstm:
         mask = np.ones((1, 4), dtype=bool)
 
         def f():
-            return ad.sum_all(ad.tanh(enc.bilstm_forward(xs, mask, fwd, bwd)))
+            return ad.sum_all(ad.tanh(encode_rows(xs, mask, fwd, bwd)))
 
         err = ad.grad_check(f, [xs, fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b], 1e-5)
         assert err <= 1e-5
@@ -236,8 +239,26 @@ class TestEncodeBatch:
         ids, mask = np.array([[2, 3, 4]]), np.ones((1, 3), dtype=bool)
         out = enc.encode_batch(ids, mask, table, fwd, bwd, attn)
         # one utterance: time-major rows are its tokens in order
-        x = enc.embed(ids, table)
-        h = enc.bilstm_forward(x, mask, fwd, bwd)
-        c, _ = enc.gaussian_self_attention(x, mask[0], *attn.effective())
+        h = enc.encode_batch(ids, mask, table, fwd, bwd, None)
+        c, _ = enc.gaussian_self_attention(enc.embed(ids, table), mask[0], *attn.effective())
         assert out.shape == (3, 10)
         assert np.array_equal(out.values, np.hstack([h.values, c.values]))
+
+    def test_dropout_matches_batch_major_reference(self):
+        # the mask is drawn batch-major, so the seeded stream gives the same
+        # mask as gathering batch-major and permuting to time-major after
+        rng = Rng(15)
+        table, fwd, bwd, attn = self.build(rng, emb=5)
+        ids = np.array([[2, 3, 4, 0], [5, 6, 7, 8], [1, 2, 0, 0]])
+        mask = ids != 0
+        B, T = ids.shape
+        rate = 0.4
+        out = enc.encode_batch(ids, mask, table, fwd, bwd, attn, rate, Rng(16))
+
+        keep = (Rng(16).random((B * T, 5)) >= rate) / (1.0 - rate)
+        dropped = table.table.values[ids.reshape(-1)] * keep
+        x = ad.constant(dropped[np.arange(B * T).reshape(B, T).T.reshape(-1)])
+        c, _ = enc.gaussian_self_attention(x, mask, *attn.effective())
+        h_fwd = ad.lstm_scan(x, fwd.w_x, fwd.w_h, fwd.b, T, mask=mask)
+        h_bwd = ad.lstm_scan(x, bwd.w_x, bwd.w_h, bwd.b, T, mask=mask, reverse=True)
+        assert np.array_equal(out.values, np.hstack([h_fwd.values, h_bwd.values, c.values]))

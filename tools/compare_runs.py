@@ -1,0 +1,125 @@
+"""Record a fixed set of short training runs, and compare two such records.
+
+Run it with the ``src/`` of the tree under test on ``PYTHONPATH``:
+
+    PYTHONPATH=src python tools/compare_runs.py after.npz
+    PYTHONPATH=/path/to/other/tree/src python tools/compare_runs.py before.npz
+    PYTHONPATH=src python tools/compare_runs.py after.npz --against before.npz
+
+The first form writes an ``.npz`` with, for each size and each flag set, the
+step-1 ``y_slot`` / ``y_intent`` and every parameter gradient (inactive ones
+included), the loss of every step and the dev report after the last step.
+Sizes: emb 32 / hidden 48 for 30 Adam steps, and emb 512 / hidden 256 for 2.
+Flag sets: the defaults and each ablation switch alone. Every run trains with
+dropout 0.4 and teacher forcing 0.9 on the default synthetic corpus.
+
+With ``--against`` it reads both files instead, prints each key that differs
+with its relative difference (max |a - b| over the larger of max |a| and
+max |b|), and exits 1 if any key differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+import numpy as np
+
+from jointslu import autodiff as ad
+from jointslu import data as dat
+from jointslu import training as tr
+from jointslu.model import ModelDims, build_model
+
+SIZES = {"small": (32, 48, 0.004, 30), "paper": (512, 256, 0.001, 2)}
+FLAG_SETS = ["default", "no_slot2intent", "no_intent2slot", "no_gaussian_attention",
+             "no_cooperation"]
+SEED = 1
+
+
+def record_run(corpus: dat.Corpus, vocab: dat.Vocab, size: str, flag_set: str) -> dict:
+    emb, hidden, lr, steps = SIZES[size]
+    switches = {} if flag_set == "default" else {flag_set: True}
+    cfg = tr.TrainConfig(learning_rate=lr, dropout_rate=0.4, teacher_forcing_rate=0.9,
+                         seed=SEED, **switches)
+    dims = ModelDims(vocab_size=vocab.n_words, emb_dim=emb, hidden=hidden,
+                     n_slots=vocab.n_slots, n_intents=vocab.n_intents)
+    init_rng, shuffle_rng, tf_rng, dropout_rng = tr.derive_streams(SEED)
+    model = build_model(dims, cfg.flags(), init_rng)
+    optimizer = tr.Adam(model.parameters(), lr=cfg.learning_rate, l2_decay=cfg.l2_decay,
+                        frozen_rows=[(model.embedding.table, model.embedding.pad_id)])
+    order = shuffle_rng.permutation(len(corpus.train))
+    prefix = f"{size}/{flag_set}/"
+    out, losses = {}, []
+    for step in range(steps):
+        rows = order[step * cfg.batch_size: (step + 1) * cfg.batch_size]
+        batch = dat.pad_batch([corpus.train[i] for i in rows], vocab)
+        with ad.Tape():
+            result = model.forward(batch, training=True, tf_rate=cfg.teacher_forcing_rate,
+                                   tf_rng=tf_rng, dropout_rate=cfg.dropout_rate,
+                                   dropout_rng=dropout_rng)
+            loss = tr.batch_loss(result, batch, cfg.loss_lambda)
+            ad.backward(loss)
+        losses.append(loss.item())
+        if step == 0:
+            out[prefix + "y_slot"] = result.y_slot.values
+            out[prefix + "y_intent"] = result.y_intent.values
+            for name, p in model.parameters(active_only=False):
+                out[prefix + "grad/" + name] = p.grad.copy()
+        optimizer.step()
+        optimizer.zero_grad()
+    out[prefix + "losses"] = np.array(losses)
+    report = tr.evaluate_model(model, corpus.dev, vocab, cfg.batch_size)
+    out[prefix + "dev_report"] = np.array(report.to_text())
+    return out
+
+
+def record(path: str) -> None:
+    corpus = dat.generate_synthetic(dat.SynthSpec())
+    vocab = dat.build_vocabs(corpus)
+    arrays = {}
+    for size in SIZES:
+        for flag_set in FLAG_SETS:
+            arrays.update(record_run(corpus, vocab, size, flag_set))
+    np.savez(path, **arrays)
+
+
+def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
+    scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    diff = np.abs(a - b).max(initial=0.0)
+    return diff / scale if scale else diff
+
+
+def compare(path: str, against: str) -> int:
+    with np.load(path) as new, np.load(against) as old:
+        keys = sorted(set(new.files) | set(old.files))
+        differing = 0
+        for key in keys:
+            if key not in new.files or key not in old.files:
+                print(f"{key}: only in {path if key in new.files else against}")
+                differing += 1
+                continue
+            a, b = new[key], old[key]
+            if np.array_equal(a, b):
+                continue
+            if a.dtype.kind != "f" or a.shape != b.shape:
+                print(f"{key}: differs")
+            else:
+                print(f"{key}: max relative difference {relative_difference(a, b):.3e}")
+            differing += 1
+    print(f"{differing} of {len(keys)} keys differ")
+    return 1 if differing else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("path", help="the .npz to write, or with --against to compare")
+    parser.add_argument("--against", help="compare PATH with this earlier record")
+    args = parser.parse_args(argv)
+    if args.against:
+        return compare(args.path, args.against)
+    record(args.path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
