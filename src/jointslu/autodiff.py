@@ -20,7 +20,7 @@ __all__ = [
     "matmul", "linear", "add", "sub", "mul",
     "concat", "sigmoid", "tanh", "softmax",
     "exp", "scale", "sum_all",
-    "take_rows", "slice_cols", "nll",
+    "take_rows", "slice_cols", "cross_entropy",
     "lstm_scan", "gaussian_attention", "backward", "grad_check",
 ]
 
@@ -367,28 +367,31 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return _record("slice_cols", xv[:, start:stop].copy(), (x,), bk)
 
 
-def nll(y: Tensor, ids: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
-    """``[-sum_i w_i * log y[i, ids_i]]``: the negative log-likelihood of one
-    column id per row of ``y``, each row weighted by ``weights`` (all ones when
-    None; a zero weight drops the row)."""
+def cross_entropy(z: Tensor, ids: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
+    """``[sum_i w_i * (logsumexp(z_i) - z[i, ids_i])]`` for logits ``z``, one column
+    id per row, each row weighted by ``weights`` (all ones when None; a zero
+    weight drops the row and its gradient). No rounded probability is logged."""
     ids = np.asarray(ids, dtype=np.intp)
-    yv = y.values
-    n = yv.shape[0]
+    zv = z.values
+    n = zv.shape[0]
     w = 1.0 if weights is None else np.asarray(weights, dtype=np.float64)
-    if yv.ndim != 2 or ids.shape != (n,) or np.shape(w) not in ((), (n,)):
-        raise ShapeError(f"nll needs one id and one weight per row, got ids {ids.shape} "
-                         f"and weights {np.shape(w)} for {yv.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= yv.shape[1]):
-        raise IndexError(f"column id out of range for {yv.shape[1]} columns")
+    if zv.ndim != 2 or ids.shape != (n,) or np.shape(w) not in ((), (n,)):
+        raise ShapeError(f"cross_entropy needs one id and one weight per row, got ids "
+                         f"{ids.shape} and weights {np.shape(w)} for {zv.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= zv.shape[1]):
+        raise IndexError(f"column id out of range for {zv.shape[1]} columns")
     rows = np.arange(n)
-    picked = yv[rows, ids]
+    shifted = zv - zv.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
 
     def bk(g):
-        dy = np.zeros_like(yv)
-        dy[rows, ids] = ((g * -1.0) * w) / picked
-        return (dy,)
+        dz = e / total
+        dz[rows, ids] -= 1.0
+        return (dz * np.reshape(g * w, (-1, 1)),)
 
-    return _record("nll", np.array([(np.log(picked) * w).sum()]) * -1.0, (y,), bk)
+    per_row = np.log(total[:, 0]) - shifted[rows, ids]
+    return _record("cross_entropy", np.array([(per_row * w).sum()]), (z,), bk)
 
 
 def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, steps: int,

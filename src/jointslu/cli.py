@@ -109,7 +109,7 @@ def write_resolved_config(cfg: RunConfig, path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for f_def in fields(RunConfig):
             key = _FIELD_TO_KEY[f_def.name]
-            f.write(f"{key} = {getattr(cfg, f_def.name)!r}\n")
+            f.write(f"{key} = {getattr(cfg, f_def.name)}\n")
 
 
 def cmd_train(args: argparse.Namespace) -> int:

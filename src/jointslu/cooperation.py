@@ -1,9 +1,9 @@
 """Cooperation gate: blends intuitive and rational features, then predicts.
 
 A small MLP over the rational feature produces a softmax score vector r across
-feature coordinates; the fused feature is ``rational * r + intuitive * (1 - r)``
-per coordinate. Slot features stay per-token; intent features are summed over
-the utterance's real tokens before classification.
+feature coordinates, and each coordinate fuses as ``h_i + r * (h_r - h_i)``
+(h_i intuitive, h_r rational). Slot features stay per-token; intent features
+are summed over the utterance's real tokens before classification.
 """
 
 from __future__ import annotations
@@ -42,12 +42,11 @@ def gate(h_rational: Tensor, p: MlpParams) -> Tensor:
 
 
 def fuse(h_rational: Tensor, h_intuitive: Tensor, r: Tensor) -> Tensor:
-    """Per-coordinate convex blend r*rational + (1-r)*intuitive."""
+    """Per-coordinate convex blend intuitive + r * (rational - intuitive)."""
     if h_rational.shape != h_intuitive.shape or h_rational.shape != r.shape:
         raise ShapeError(f"fuse needs equal widths, got {h_rational.shape}, "
                          f"{h_intuitive.shape}, {r.shape}")
-    ones = ad.constant(np.ones(r.shape))
-    return ad.add(ad.mul(h_rational, r), ad.mul(h_intuitive, ad.sub(ones, r)))
+    return ad.add(h_intuitive, ad.mul(r, ad.sub(h_rational, h_intuitive)))
 
 
 # perfbench/tracer.py looks this name up; the model calls ``fuse`` for both tasks
@@ -65,9 +64,7 @@ def fuse_intent(blend: Tensor, mask: np.ndarray) -> Tensor:
 
 def predict(h_slot: Tensor, h_intent: Tensor,
             w_slot: Tensor, w_intent: Tensor) -> tuple[Tensor, Tensor]:
-    """Final label distributions: per-token slot rows (time-major, as h_slot)
-    and one intent row per utterance. Predicted labels are argmax with ties to
-    the lowest index."""
-    y_slot = ad.softmax(ad.linear(h_slot, w_slot), axis=1)
-    y_intent = ad.softmax(ad.linear(h_intent, w_intent), axis=1)
-    return y_slot, y_intent
+    """Final label logits: per-token slot rows (time-major, as h_slot) and one
+    intent row per utterance. Predicted labels are argmax with ties to the
+    lowest index; the losses read the logits directly."""
+    return ad.linear(h_slot, w_slot), ad.linear(h_intent, w_intent)

@@ -47,17 +47,17 @@ class AblationFlags:
 
 @dataclass
 class ForwardResult:
-    y_slot: Tensor               # [T*B, n_slots], time-major
-    y_intent: Tensor             # [B, n_intents]
+    z_slot: Tensor               # [T*B, n_slots] logits, time-major
+    z_intent: Tensor             # [B, n_intents] logits
     mask: np.ndarray             # [B, T]
 
     def slot_predictions(self) -> np.ndarray:
         """[B, T] argmax slot ids (meaningless at masked positions)."""
         B, T = self.mask.shape
-        return self.y_slot.values.argmax(axis=1).reshape(T, B).T
+        return self.z_slot.values.argmax(axis=1).reshape(T, B).T
 
     def intent_predictions(self) -> np.ndarray:
-        return self.y_intent.values.argmax(axis=1)
+        return self.z_intent.values.argmax(axis=1)
 
 
 class JointModel:
@@ -196,8 +196,8 @@ class JointModel:
             intent_blend = h_ri if flags.slot2intent else h_ii
 
         h_intent = coop.fuse_intent(intent_blend, batch.mask)
-        y_slot, y_intent = coop.predict(h_slot, h_intent, self.head_slot, self.head_intent)
-        return ForwardResult(y_slot=y_slot, y_intent=y_intent, mask=batch.mask)
+        z_slot, z_intent = coop.predict(h_slot, h_intent, self.head_slot, self.head_intent)
+        return ForwardResult(z_slot=z_slot, z_intent=z_intent, mask=batch.mask)
 
 
 def build_model(dims: ModelDims, flags: AblationFlags, rng: Rng | None) -> JointModel:

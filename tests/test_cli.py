@@ -80,6 +80,13 @@ class TestTrain:
         for name in ("history.txt", "dev_metrics.txt", "test_metrics.txt"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
+    def test_resolved_config_reruns_the_same_training(self, trained_dir, tmp_path):
+        out, _ = trained_dir
+        assert run(["train", "--config", str(out / "resolved_config.txt"),
+                    "--out", str(tmp_path)]) == 0
+        for name in ("history.txt", "dev_metrics.txt", "test_metrics.txt"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
     def test_resolved_config_persisted(self, trained_dir):
         out, _ = trained_dir
         text = (out / "resolved_config.txt").read_text()

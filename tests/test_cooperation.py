@@ -117,10 +117,10 @@ class TestPredict:
         h_intent = ad.constant(np.ones((2, 3)))
         w_s = ad.constant(np.zeros((4, 3)))
         w_i = ad.constant(np.zeros((5, 3)))
-        y_slot, y_intent = coop.predict(h_slot, h_intent, w_s, w_i)
-        assert np.allclose(y_slot.values, 0.25)
-        assert np.allclose(y_intent.values, 0.2)
-        assert y_intent.values.argmax(axis=1).tolist() == [0, 0]
+        z_slot, z_intent = coop.predict(h_slot, h_intent, w_s, w_i)
+        assert np.allclose(ad.softmax(z_slot, axis=1).values, 0.25)
+        assert np.allclose(ad.softmax(z_intent, axis=1).values, 0.2)
+        assert z_intent.values.argmax(axis=1).tolist() == [0, 0]
 
     def test_rows_sum_to_one(self):
         rng = Rng(7)
@@ -128,6 +128,8 @@ class TestPredict:
         h_intent = ad.constant(rng.uniform(-1, 1, (2, 3)))
         w_s = ad.constant(rng.uniform(-1, 1, (4, 3)))
         w_i = ad.constant(rng.uniform(-1, 1, (5, 3)))
-        y_slot, y_intent = coop.predict(h_slot, h_intent, w_s, w_i)
-        for y in (y_slot, y_intent):
-            assert np.abs(y.values.sum(axis=1) - 1.0).max() <= 1e-12
+        z_slot, z_intent = coop.predict(h_slot, h_intent, w_s, w_i)
+        assert np.array_equal(z_slot.values, h_slot.values @ w_s.values.T)
+        assert np.array_equal(z_intent.values, h_intent.values @ w_i.values.T)
+        for z in (z_slot, z_intent):
+            assert np.abs(ad.softmax(z, axis=1).values.sum(axis=1) - 1.0).max() <= 1e-12

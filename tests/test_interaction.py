@@ -51,7 +51,7 @@ class TestTeacherForcing:
         model = tiny_model(vocab)
         a = model.forward(batch, training=True, tf_rate=1.0, tf_rng=Rng(2))
         b = model.forward(batch, training=True, tf_rate=1.0, tf_rng=Rng(3))
-        assert np.array_equal(a.y_slot.values, b.y_slot.values)
+        assert np.array_equal(a.z_slot.values, b.z_slot.values)
 
     def test_rate_zero_passes_through(self, small_synth):
         corpus, vocab = small_synth
@@ -61,7 +61,7 @@ class TestTeacherForcing:
         state = tf_rng.bit_generator.state
         free = model.forward(batch, training=True, tf_rate=0.0, tf_rng=tf_rng)
         assert tf_rng.bit_generator.state == state
-        assert np.array_equal(free.y_slot.values, model.forward(batch).y_slot.values)
+        assert np.array_equal(free.z_slot.values, model.forward(batch).z_slot.values)
 
 
 class TestDecoders:
@@ -138,7 +138,7 @@ class TestDecoders:
 
         def f():
             out = inter.intuitive_slot_decode(e_param, 3, p)
-            return ad.nll(ad.slice_cols(out, 5, 8), gold)
+            return ad.cross_entropy(ad.slice_cols(out, 5, 8), gold)
 
         err = ad.grad_check(f, [e_param, p.cell.w_x, p.cell.w_h, p.cell.b, p.proj], 1e-4)
         assert err <= 1e-5
@@ -153,7 +153,7 @@ class TestDecoders:
         def f():
             out = inter.intuitive_slot_decode(e_param, 3, p, force=forced_after_step_zero(3, 1),
                                               gold=gold)
-            return ad.nll(ad.slice_cols(out, 5, 7), gold_ids)
+            return ad.cross_entropy(ad.slice_cols(out, 5, 7), gold_ids)
 
         assert ad.grad_check(f, [e_param, p.cell.w_x, p.proj], 1e-4) <= 1e-5
 

@@ -112,8 +112,8 @@ class TestAblationStructure:
         batch = dat.pad_batch(corpus.train[:4], vocab)
         a = tiny_model(vocab, seed=3).forward(batch)
         b = tiny_model(vocab, seed=3, flags=AblationFlags()).forward(batch)
-        assert np.array_equal(a.y_intent.values, b.y_intent.values)
-        assert np.array_equal(a.y_slot.values, b.y_slot.values)
+        assert np.array_equal(a.z_intent.values, b.z_intent.values)
+        assert np.array_equal(a.z_slot.values, b.z_slot.values)
 
     @pytest.mark.parametrize("flags", [
         AblationFlags(),
@@ -137,8 +137,10 @@ class TestForward:
         model = tiny_model(vocab)
         batch = dat.pad_batch(corpus.train[:5], vocab)
         result = model.forward(batch)
-        assert np.abs(result.y_intent.values.sum(axis=1) - 1).max() <= 1e-12
-        assert np.abs(result.y_slot.values.sum(axis=1) - 1).max() <= 1e-12
+        for z in (result.z_intent, result.z_slot):
+            y = ad.softmax(z, axis=1).values
+            assert np.abs(y.sum(axis=1) - 1).max() <= 1e-12
+            assert np.array_equal(y.argmax(axis=1), z.values.argmax(axis=1))
         assert result.slot_predictions().shape == batch.token_ids.shape
 
     def test_eval_forward_is_deterministic(self, small_synth):
@@ -147,8 +149,8 @@ class TestForward:
         batch = dat.pad_batch(corpus.train[:5], vocab)
         a = model.forward(batch)
         b = model.forward(batch)
-        assert np.array_equal(a.y_intent.values, b.y_intent.values)
-        assert np.array_equal(a.y_slot.values, b.y_slot.values)
+        assert np.array_equal(a.z_intent.values, b.z_intent.values)
+        assert np.array_equal(a.z_slot.values, b.z_slot.values)
 
     def test_padding_invariance_of_loss(self, small_synth):
         corpus, vocab = small_synth
@@ -184,7 +186,7 @@ class TestForward:
         batch = dat.pad_batch(corpus.train[:4], vocab)
         free = model.forward(batch, training=True, tf_rate=0.0)
         forced = model.forward(batch, training=True, tf_rate=1.0, tf_rng=Rng(0))
-        diff = np.abs(free.y_slot.values - forced.y_slot.values).max()
+        diff = np.abs(free.z_slot.values - forced.z_slot.values).max()
         assert diff > 0
 
     @pytest.mark.parametrize("flags,n_decoders", [
@@ -217,7 +219,7 @@ class TestForward:
             result = model.forward(batch, training=True, tf_rate=0.9, tf_rng=Rng(0),
                                    dropout_rate=0.1, dropout_rng=Rng(1))
             tr.batch_loss(result, batch, 0.5)
-        assert len(tape.nodes) <= 47
+        assert len(tape.nodes) <= 43
         # one embedding gather; the encoder's features and the two rational
         # decoders' inputs are the concats; dropout is a mul by a constant mask
         assert sum(n.name == "take_rows" for n in tape.nodes) == 1
@@ -225,7 +227,12 @@ class TestForward:
         assert sum(n.name == "dropout" for n in tape.nodes) == 0
         # the hidden states of all four decoders and the intuitive distributions
         assert sum(n.name == "slice_cols" for n in tape.nodes) == 6
-        assert sum(n.name == "nll" for n in tape.nodes) == 2
+        # each loss reads a head's logits, the two softmaxes are the gates, and
+        # the three muls are dropout's and the two fuses'
+        assert sum(n.name == "cross_entropy" for n in tape.nodes) == 2
+        assert sum(n.name == "nll" for n in tape.nodes) == 0
+        assert sum(n.name == "softmax" for n in tape.nodes) == 2
+        assert sum(n.name == "mul" for n in tape.nodes) == 3
         assert sum(n.name == "lstm_scan" for n in tape.nodes) == 6
         assert sum(n.name == "gaussian_attention" for n in tape.nodes) == 1
 

@@ -18,55 +18,55 @@ from jointslu.model import AblationFlags, ModelDims, build_model
 from jointslu.training import Adam, TrainConfig, TrainingDiverged
 
 
-def dist_steps(rows_per_step):
-    """Time-major [T*B, K] distributions from the per-step [B, K] rows."""
+def logit_steps(rows_per_step):
+    """Time-major [T*B, K] logits from the per-step [B, K] rows."""
     return ad.constant(np.vstack([np.asarray(r) for r in rows_per_step]))
 
 
 class TestSlotLoss:
     def test_perfect_onehot_is_zero(self):
-        y = dist_steps([[[0.0, 1.0]], [[1.0, 0.0]]])
+        z = logit_steps([[[0.0, 1000.0]], [[1000.0, 0.0]]])
         ids = np.array([[1, 0]])
         mask = np.ones((1, 2), dtype=bool)
-        assert tr.slot_loss(y, ids, mask).item() == 0.0
+        assert tr.slot_loss(z, ids, mask).item() == 0.0
 
     def test_uniform_is_m_log_k(self):
         K, M = 5, 3
-        y = dist_steps([np.full((1, K), 1.0 / K)] * M)
+        z = logit_steps([np.log(np.full((1, K), 1.0 / K))] * M)
         ids = np.zeros((1, M), dtype=np.int64)
         mask = np.ones((1, M), dtype=bool)
-        assert tr.slot_loss(y, ids, mask).item() == pytest.approx(M * np.log(K), abs=1e-12)
+        assert tr.slot_loss(z, ids, mask).item() == pytest.approx(M * np.log(K), abs=1e-12)
 
     def test_hand_computed_two_tokens(self):
-        y = dist_steps([[[0.7, 0.3]], [[0.2, 0.8]]])
+        z = logit_steps([np.log([[0.7, 0.3]]), np.log([[0.2, 0.8]])])
         ids = np.array([[0, 1]])
         mask = np.ones((1, 2), dtype=bool)
         expected = -(np.log(0.7) + np.log(0.8))
-        assert abs(tr.slot_loss(y, ids, mask).item() - expected) <= 1e-12
+        assert abs(tr.slot_loss(z, ids, mask).item() - expected) <= 1e-12
 
     def test_masked_tokens_excluded(self):
-        y = dist_steps([[[0.5, 0.5]], [[0.9, 0.1]]])
+        z = logit_steps([np.log([[0.5, 0.5]]), np.log([[0.9, 0.1]])])
         ids = np.array([[0, dat.PAD_SLOT_ID]])
         mask = np.array([[True, False]])
-        assert tr.slot_loss(y, ids, mask).item() == pytest.approx(-np.log(0.5))
+        assert tr.slot_loss(z, ids, mask).item() == pytest.approx(-np.log(0.5))
 
     def test_bad_gold_id(self):
-        y = dist_steps([[[0.5, 0.5]]])
+        z = logit_steps([np.log([[0.5, 0.5]])])
         with pytest.raises(IndexError):
-            tr.slot_loss(y, np.array([[7]]), np.ones((1, 1), dtype=bool))
+            tr.slot_loss(z, np.array([[7]]), np.ones((1, 1), dtype=bool))
 
 
 class TestIntentLoss:
     def test_uniform_single(self):
-        y = ad.constant(np.full((1, 4), 0.25))
-        assert tr.intent_loss(y, np.array([2])).item() == pytest.approx(np.log(4), abs=1e-12)
+        z = ad.constant(np.log(np.full((1, 4), 0.25)))
+        assert tr.intent_loss(z, np.array([2])).item() == pytest.approx(np.log(4), abs=1e-12)
 
     def test_perfect_is_zero(self):
-        y = ad.constant([[0.0, 1.0]])
-        assert tr.intent_loss(y, np.array([1])).item() == 0.0
+        z = ad.constant([[0.0, 1000.0]])
+        assert tr.intent_loss(z, np.array([1])).item() == 0.0
 
     def test_batch_is_sum_of_singletons(self):
-        rows = np.array([[0.6, 0.4], [0.1, 0.9]])
+        rows = np.log([[0.6, 0.4], [0.1, 0.9]])
         ids = np.array([0, 1])
         batched = tr.intent_loss(ad.constant(rows), ids).item()
         singles = sum(tr.intent_loss(ad.constant(rows[i: i + 1]), ids[i: i + 1]).item()
@@ -76,6 +76,21 @@ class TestIntentLoss:
     def test_bad_gold_id(self):
         with pytest.raises(IndexError):
             tr.intent_loss(ad.constant([[1.0, 0.0]]), np.array([2]))
+
+
+def test_saturated_heads_give_finite_loss_and_gradients(tiny_corpus):
+    # head logits of order 1e4 put many probabilities below the smallest double
+    corpus, vocab = tiny_corpus
+    model = tiny_model(vocab)
+    for head in (model.head_slot, model.head_intent):
+        head.values *= 1e4
+    batch = dat.pad_batch(corpus.train, vocab)
+    with Tape():
+        loss = tr.batch_loss(model.forward(batch), batch, 0.5)
+        ad.backward(loss)
+    assert np.isfinite(loss.item())
+    for name, p in model.parameters():
+        assert np.all(np.isfinite(p.grad)), name
 
 
 class TestJointLoss:
@@ -361,8 +376,8 @@ class TestCheckpoint:
         seeded.embedding.zero_pad_row()
         batch = dat.pad_batch(corpus.dev, vocab)
         got, want = served.forward(batch), seeded.forward(batch)
-        assert got.y_slot.values.tobytes() == want.y_slot.values.tobytes()
-        assert got.y_intent.values.tobytes() == want.y_intent.values.tobytes()
+        assert got.z_slot.values.tobytes() == want.z_slot.values.tobytes()
+        assert got.z_intent.values.tobytes() == want.z_intent.values.tobytes()
         active = served.active_param_names()
         assert sorted(active) == sorted(ckpt.tensors)
         for name, tensor in served.params.items():

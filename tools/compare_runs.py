@@ -7,8 +7,10 @@ Run it with the ``src/`` of the tree under test on ``PYTHONPATH``:
     PYTHONPATH=src python tools/compare_runs.py after.npz --against before.npz
 
 The first form writes an ``.npz`` with, for each size and each flag set, the
-step-1 ``y_slot`` / ``y_intent`` and every parameter gradient (inactive ones
-included), the loss of every step and the dev report after the last step.
+step-1 label distributions ``y_slot`` / ``y_intent`` (the softmax of the
+heads' logits, taken here, since the model returns logits) and every parameter
+gradient (inactive ones included), the loss of every step and the dev report
+after the last step.
 Sizes: emb 32 / hidden 48 for 30 Adam steps, and emb 512 / hidden 256 for 2.
 Flag sets: the defaults and each ablation switch alone. Every run trains with
 dropout 0.4 and teacher forcing 0.9 on the default synthetic corpus.
@@ -61,8 +63,9 @@ def record_run(corpus: dat.Corpus, vocab: dat.Vocab, size: str, flag_set: str) -
             ad.backward(loss)
         losses.append(loss.item())
         if step == 0:
-            out[prefix + "y_slot"] = result.y_slot.values
-            out[prefix + "y_intent"] = result.y_intent.values
+            # taken after the tape closed, so nothing is recorded
+            out[prefix + "y_slot"] = ad.softmax(result.z_slot, axis=1).values
+            out[prefix + "y_intent"] = ad.softmax(result.z_intent, axis=1).values
             for name, p in model.parameters(active_only=False):
                 out[prefix + "grad/" + name] = p.grad.copy()
         optimizer.step()
