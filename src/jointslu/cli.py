@@ -153,9 +153,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    ckpt = tr.load_checkpoint(args.checkpoint)
     corpus = dat.load_corpus(args.data)
     samples = corpus.split(args.split)
+    if not samples:
+        raise ValueError(f"{args.data}: the {args.split} split is empty")
+    ckpt = tr.load_checkpoint(args.checkpoint)
     model = ckpt.build_model()
     report = tr.evaluate_model(model, samples, ckpt.vocab, args.batch_size)
     text = report.to_text()

@@ -301,6 +301,20 @@ class TestEvaluate:
                     "--data", str(synth_dir), "--batch-size", size]) == 1
         assert capsys.readouterr().err == f"error: batch size must be >= 1, got {size}\n"
 
+    @pytest.mark.parametrize("split,dirname", [("valid", "valid"), ("test", "test")])
+    def test_empty_split_names_the_corpus(self, trained_dir, synth_dir, tmp_path, capsys,
+                                          split, dirname):
+        out, _ = trained_dir
+        data = tmp_path / "corpus"
+        shutil.copytree(synth_dir, data)
+        for name in ("seq.in", "seq.out", "label"):
+            (data / dirname / name).write_text("")
+        report = tmp_path / "report.txt"
+        assert run(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+                    "--data", str(data), "--split", split, "--out", str(report)]) == 1
+        assert capsys.readouterr().err == f"error: {data}: the {split} split is empty\n"
+        assert not report.exists()
+
     def test_vocabulary_mismatch_fails(self, trained_dir, tmp_path, capsys):
         out, _ = trained_dir
         other = tmp_path / "corpus"

@@ -12,6 +12,7 @@ from conftest import overfit_corpus, tiny_model
 
 from jointslu import autodiff as ad
 from jointslu import data as dat
+from jointslu import metrics as met
 from jointslu import training as tr
 from jointslu.autodiff import Rng, Tape
 from jointslu.model import AblationFlags, ModelDims, build_model
@@ -309,6 +310,51 @@ class TestTrainLoop:
         assert result.best_dev_accuracy == best
 
 
+class TestEvaluateModel:
+    @pytest.mark.parametrize("batch_size", [1, 5, 16, 40])
+    def test_batches_are_chunks_of_the_stable_length_order(self, small_synth, monkeypatch,
+                                                           batch_size):
+        corpus, vocab = small_synth
+        samples = corpus.train
+        model = tiny_model(vocab)
+        batches = []
+        forward = model.forward
+
+        def spy(batch, **kwargs):
+            batches.append(batch)
+            return forward(batch, **kwargs)
+
+        monkeypatch.setattr(model, "forward", spy)
+        tr.evaluate_model(model, samples, vocab, batch_size)
+        by_length = sorted(samples, key=lambda s: len(s.tokens))
+        chunks = [by_length[lo: lo + batch_size] for lo in range(0, len(samples), batch_size)]
+        assert len(batches) == len(chunks) == -(-len(samples) // batch_size)
+        for batch, chunk in zip(batches, chunks):
+            assert batch.token_ids.shape == (len(chunk), max(len(s.tokens) for s in chunk))
+            assert np.array_equal(batch.token_ids, dat.pad_batch(chunk, vocab).token_ids)
+
+    def test_report_is_that_of_input_order(self, small_synth):
+        corpus, vocab = small_synth
+        samples = corpus.train
+        model = tiny_model(vocab)
+        # oracle: one unpadded forward per utterance, in input order
+        pred_intents, pred_tags = [], []
+        for s in samples:
+            result = model.forward(dat.pad_batch([s], vocab), training=False)
+            pred_intents.append(vocab.intents[result.intent_predictions()[0]])
+            pred_tags.append([vocab.slot_tags[j] for j in result.slot_predictions()[0]])
+        want = met.compute_report([s.intent for s in samples], pred_intents,
+                                  [list(s.slot_tags) for s in samples], pred_tags)
+        assert tr.evaluate_model(model, samples, vocab, 16) == want
+        assert tr.evaluate_model(model, samples, vocab, 1) == want
+        assert tr.evaluate_model(model, samples[::-1], vocab, 16) == want
+
+    def test_empty_sample_list_rejected(self, small_synth):
+        _, vocab = small_synth
+        with pytest.raises(ValueError, match="no samples to evaluate"):
+            tr.evaluate_model(tiny_model(vocab), [], vocab)
+
+
 class TestTapeLifetime:
     def test_step_tape_freed_without_garbage_collection(self, small_synth):
         # tensors hold their tape weakly, so a step's tape (and the activations
@@ -385,6 +431,33 @@ class TestCheckpoint:
                 assert np.shares_memory(tensor.values, ckpt.tensors[name]), name
             else:
                 assert not tensor.values.any(), name
+
+    def test_tensors_are_views_of_one_arena(self, tmp_path, small_synth):
+        _, vocab = small_synth
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(str(path), tiny_model(vocab), {"seed": 11}, vocab)
+        tensors = tr.load_checkpoint(str(path)).tensors
+        for name, arr in tensors.items():
+            assert arr.dtype == np.float64, name
+            assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable, name
+        bases = {id(arr.base) for arr in tensors.values()}
+        assert len(bases) == 1 and next(iter(tensors.values())).base is not None
+
+    def test_served_model_takes_an_adam_step(self, tmp_path, small_synth):
+        corpus, vocab = small_synth
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(str(path), tiny_model(vocab), {"seed": 11}, vocab)
+        ckpt = tr.load_checkpoint(str(path))
+        served = ckpt.build_model()
+        before = {name: arr.copy() for name, arr in ckpt.tensors.items()}
+        batch = dat.pad_batch(corpus.train[:8], vocab)
+        with Tape():
+            ad.backward(tr.batch_loss(served.forward(batch), batch, 0.5))
+        Adam(served.parameters(), lr=0.01).step()
+        for name, tensor in served.parameters():
+            assert np.isfinite(tensor.values).all(), name
+            assert np.shares_memory(tensor.values, ckpt.tensors[name]), name
+        assert any(not np.array_equal(before[n], a) for n, a in ckpt.tensors.items())
 
     def test_short_read_is_a_truncation(self, tmp_path, small_synth, monkeypatch):
         path = tmp_path / "model.ckpt"

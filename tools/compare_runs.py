@@ -9,8 +9,9 @@ Run it with the ``src/`` of the tree under test on ``PYTHONPATH``:
 The first form writes an ``.npz`` with, for each size and each flag set, the
 step-1 label distributions ``y_slot`` / ``y_intent`` (the softmax of the
 heads' logits, taken here, since the model returns logits) and every parameter
-gradient (inactive ones included), the loss of every step and the dev report
-after the last step.
+gradient (inactive ones included), the loss of every step, and three reports
+after the last step: dev and test from the trained model, and dev again from
+the model that a ``save_checkpoint`` / ``load_checkpoint`` round trip serves.
 Sizes: emb 32 / hidden 48 for 30 Adam steps, and emb 512 / hidden 256 for 2.
 Flag sets: the defaults and each ablation switch alone. Every run trains with
 dropout 0.4 and teacher forcing 0.9 on the default synthetic corpus.
@@ -23,7 +24,9 @@ max |b|), and exits 1 if any key differs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -71,8 +74,15 @@ def record_run(corpus: dat.Corpus, vocab: dat.Vocab, size: str, flag_set: str) -
         optimizer.step()
         optimizer.zero_grad()
     out[prefix + "losses"] = np.array(losses)
-    report = tr.evaluate_model(model, corpus.dev, vocab, cfg.batch_size)
-    out[prefix + "dev_report"] = np.array(report.to_text())
+    for split in ("dev", "test"):
+        report = tr.evaluate_model(model, corpus.split(split), vocab, cfg.batch_size)
+        out[prefix + split + "_report"] = np.array(report.to_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "checkpoint.bin")
+        tr.save_checkpoint(path, model, {"seed": SEED}, vocab)
+        served = tr.load_checkpoint(path).build_model()
+    report = tr.evaluate_model(served, corpus.dev, vocab, cfg.batch_size)
+    out[prefix + "served_dev_report"] = np.array(report.to_text())
     return out
 
 
