@@ -106,13 +106,14 @@ def uniform_parameter(rng: Rng | None, bound: float, shape: tuple[int, ...]) -> 
 
 
 class _Node:
-    __slots__ = ("name", "inputs", "out", "backward")
+    __slots__ = ("name", "inputs", "outs", "out", "backward")
 
-    def __init__(self, name: str, inputs: tuple[Tensor, ...], out: Tensor,
-                 backward: Callable[[np.ndarray], tuple]):
+    def __init__(self, name: str, inputs: tuple[Tensor, ...], outs: tuple[Tensor, ...],
+                 backward: Callable):
         self.name = name
         self.inputs = inputs
-        self.out = out
+        self.outs = outs
+        self.out = outs[0]
         self.backward = backward
 
 
@@ -134,44 +135,48 @@ class Tape:
 
     def first_nonfinite_node(self) -> _Node | None:
         for node in self.nodes:
-            if not np.all(np.isfinite(node.out.values)):
+            if not all(np.all(np.isfinite(o.values)) for o in node.outs):
                 return node
         return None
 
     def backward_from(self, loss: Tensor) -> None:
+        """One adjoint per output tensor. A node with several outputs gets the
+        tuple of its adjoints, None for an output that nothing read."""
         nodes = self.nodes
-        adjoint: list[np.ndarray | None] = [None] * (loss.tape_id + 1)
-        adjoint[loss.tape_id] = np.ones_like(loss.values)
+        adjoint: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.values)}
         for idx in range(loss.tape_id, -1, -1):
-            g = adjoint[idx]
-            adjoint[idx] = None
-            if g is None:
-                continue
             node = nodes[idx]
-            grads = node.backward(g)
+            gs = tuple(adjoint.pop(o, None) for o in node.outs)
+            if all(g is None for g in gs):
+                continue
+            grads = node.backward(gs if len(gs) > 1 else gs[0])
             for inp, gin in zip(node.inputs, grads):
                 if gin is None or not inp.requires_grad:
                     continue
                 if inp.tape_id is None:
-                    # A fresh array (not a view, not the incoming adjoint, not
+                    # A fresh array (not a view, not an incoming adjoint, not
                     # also returned for another input) has no other owner.
-                    inp.accumulate_grad(gin, owned=gin is not g and gin.base is None
+                    inp.accumulate_grad(gin, owned=gin.base is None
+                                        and not any(gin is g for g in gs)
                                         and sum(o is gin for o in grads) == 1)
                 else:
-                    prev = adjoint[inp.tape_id]
-                    adjoint[inp.tape_id] = gin if prev is None else prev + gin
+                    prev = adjoint.get(inp)
+                    adjoint[inp] = gin if prev is None else prev + gin
 
 
-def _record(name: str, out_values: np.ndarray, inputs: tuple[Tensor, ...],
-            backward: Callable[[np.ndarray], tuple]) -> Tensor:
-    out = Tensor(out_values)
+def _record(name: str, out_values: np.ndarray | tuple[np.ndarray, ...],
+            inputs: tuple[Tensor, ...], backward: Callable):
+    """One node; a tuple of arrays gives one output Tensor per array."""
+    several = isinstance(out_values, tuple)
+    outs = tuple(map(Tensor, out_values)) if several else (Tensor(out_values),)
     if _TAPE_STACK and any(i.requires_grad for i in inputs):
         tape = _TAPE_STACK[-1]
-        out.requires_grad = True
-        out._tape = weakref.ref(tape)
-        out.tape_id = len(tape.nodes)
-        tape.nodes.append(_Node(name, inputs, out, backward))
-    return out
+        for out in outs:
+            out.requires_grad = True
+            out._tape = weakref.ref(tape)
+            out.tape_id = len(tape.nodes)
+        tape.nodes.append(_Node(name, inputs, outs, backward))
+    return outs if several else outs[0]
 
 
 class Rng(np.random.Generator):
@@ -397,7 +402,7 @@ def cross_entropy(z: Tensor, ids: np.ndarray, weights: np.ndarray | None = None)
 def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, steps: int,
               mask: np.ndarray | None = None, reverse: bool = False,
               proj: Tensor | None = None, force: np.ndarray | None = None,
-              gold: np.ndarray | None = None) -> Tensor:
+              gold: np.ndarray | None = None) -> Tensor | tuple[Tensor, Tensor]:
     """A whole LSTM scan over ``steps`` timesteps, recorded as one operation.
 
     ``x`` is the non-recurrent input of every step, time-major: row
@@ -414,7 +419,7 @@ def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, steps: int,
     ``y_t = softmax(h_t @ proj.T)``. That vector is zero at t = 0 and
     ``y_{t-1}`` after, except in the rows where ``force[t]`` ([T, B] bool) is
     set, which read the gold row ``gold[(t-1)*B + b]`` ([T*B, K]) instead. The
-    result is ``[T*B, h + K]``: the hidden states, then the distributions.
+    result is the pair ``(h [T*B, h], y [T*B, K])``, two outputs of one node.
 
     Backward is hand-written BPTT: the gradients of ``x``, ``w_x``, ``w_h``,
     ``b`` and ``proj`` each come from one product over the whole sequence.
@@ -478,7 +483,9 @@ def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, steps: int,
             ys[t] = e / e.sum(axis=1, keepdims=True)
 
     def bk(g):
-        g = g.reshape(T, B, hid + K)
+        g_h, g_y = (g, None) if proj is None else g
+        g_h = np.zeros((T, B, hid)) if g_h is None else g_h.reshape(T, B, hid)
+        g_y = np.zeros((T, B, K)) if g_y is None else g_y.reshape(T, B, K)
         d_act = acts * (1.0 - acts)
         d_act[..., cell] = 1.0 - acts[..., cell] ** 2
         d_gates = np.empty((T, B, 4 * hid))
@@ -487,10 +494,10 @@ def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, steps: int,
         dc = np.zeros((B, hid))
         dy = None                          # gradient reaching y_t from step t + 1
         for t in reversed(order):
-            dh = dh + g[t, :, :hid]
+            dh = dh + g_h[t]
             if K:
                 y = ys[t]
-                gy = g[t, :, hid:] if dy is None else g[t, :, hid:] + dy
+                gy = g_y[t] if dy is None else g_y[t] + dy
                 d_z[t] = (gy - (gy * y).sum(axis=1, keepdims=True)) * y
                 dh += d_z[t] @ proj.values
             if keep is not None:
@@ -523,9 +530,10 @@ def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, steps: int,
                          if proj.requires_grad else None)
         return tuple(grads)
 
-    out = hs if proj is None else np.concatenate([hs, ys], axis=2)
-    inputs = (x, w_x, w_h, b) if proj is None else (x, w_x, w_h, b, proj)
-    return _record("lstm_scan", out.reshape(T * B, hid + K), inputs, bk)
+    h_out = hs.reshape(T * B, hid)
+    if proj is None:
+        return _record("lstm_scan", h_out, (x, w_x, w_h, b), bk)
+    return _record("lstm_scan", (h_out, ys.reshape(T * B, K)), (x, w_x, w_h, b, proj), bk)
 
 
 def gaussian_attention(x: Tensor, mask: np.ndarray, w: Tensor,

@@ -188,14 +188,6 @@ class UtteranceBatch:
     intent_ids: np.ndarray  # [B] int
     mask: np.ndarray        # [B, T] bool
 
-    @property
-    def size(self) -> int:
-        return self.token_ids.shape[0]
-
-    @property
-    def max_len(self) -> int:
-        return self.token_ids.shape[1]
-
 
 def _label_ids(to_id: dict[str, int], labels: list[str], kind: str) -> list[int]:
     try:

@@ -5,8 +5,11 @@ distributions feed a rational intent decoder; the intent-to-slot chain mirrors
 it (intuitive intent decoder feeding a rational slot decoder). All four are
 unidirectional LSTMs run by ``decode``, consuming the aligned encoder state
 each step with the previous step's output distribution prepended to the
-input. For teacher forcing the caller passes a [T, B] mask of the rows that
-read the gold one-hot instead, and the gold rows from ``gold_onehots``.
+input. Each returns its hidden states, which the cooperation gate reads, and
+its label distributions, which the rational decoder of the other task reads,
+as two outputs of one tape node. For teacher forcing the caller passes a
+[T, B] mask of the rows that read the gold one-hot instead, and the gold rows
+from ``gold_onehots``.
 """
 
 from __future__ import annotations
@@ -36,15 +39,16 @@ def init_decoder(input_size: int, hidden: int, n_labels: int,
 
 
 def decode(e: Tensor, steps: int, p: DecoderParams, opposite_y: Tensor | None = None,
-           force: np.ndarray | None = None, gold: np.ndarray | None = None) -> Tensor:
+           force: np.ndarray | None = None,
+           gold: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Left-to-right decode of the time-major encoder states e [T*B, e_width].
 
     Step input is [prev distribution (+ opposite task's distribution) +
     encoder state]. The previous distribution at t = 0 is the zero vector, so
     the first step carries no label prior. Rows set in the [T, B] ``force``
     mask read the gold one-hot of the previous step from ``gold`` [T*B, K]
-    instead. Returns ``[T*B, hidden + K]``: the hidden states, then the label
-    distributions, as ``ad.lstm_scan``.
+    instead. Returns the hidden states ``[T*B, hidden]`` and the label
+    distributions ``[T*B, K]``, the two outputs of one ``ad.lstm_scan`` node.
     """
     x = e if opposite_y is None else ad.concat([opposite_y, e], axis=1)
     cell = p.cell

@@ -172,21 +172,17 @@ class JointModel:
             slot_gold = inter.gold_onehots(batch.slot_ids, self.dims.n_slots)
             intent_gold = inter.gold_onehots(np.repeat(batch.intent_ids[:, None], T, axis=1),
                                              self.dims.n_intents)
-        forces, h = iter(force), self.dims.hidden
+        forces = iter(force)
         if flags.slot2intent:
-            out = inter.intuitive_slot_decode(e, T, self.dec_slot_intuitive,
-                                              force=next(forces), gold=slot_gold)
-            h_is, y_is = ad.slice_cols(out, 0, h), ad.slice_cols(out, h, out.shape[1])
-            h_ri = ad.slice_cols(inter.rational_intent_decode(
-                e, T, self.dec_intent_rational, opposite_y=y_is, force=next(forces),
-                gold=intent_gold), 0, h)
+            h_is, y_is = inter.intuitive_slot_decode(e, T, self.dec_slot_intuitive,
+                                                     force=next(forces), gold=slot_gold)
+            h_ri, _ = inter.rational_intent_decode(e, T, self.dec_intent_rational, opposite_y=y_is,
+                                                   force=next(forces), gold=intent_gold)
         if flags.intent2slot:
-            out = inter.intuitive_intent_decode(e, T, self.dec_intent_intuitive,
-                                                force=next(forces), gold=intent_gold)
-            h_ii, y_ii = ad.slice_cols(out, 0, h), ad.slice_cols(out, h, out.shape[1])
-            h_rs = ad.slice_cols(inter.rational_slot_decode(
-                e, T, self.dec_slot_rational, opposite_y=y_ii, force=next(forces),
-                gold=slot_gold), 0, h)
+            h_ii, y_ii = inter.intuitive_intent_decode(e, T, self.dec_intent_intuitive,
+                                                       force=next(forces), gold=intent_gold)
+            h_rs, _ = inter.rational_slot_decode(e, T, self.dec_slot_rational, opposite_y=y_ii,
+                                                 force=next(forces), gold=slot_gold)
 
         if flags.gates_active:
             h_slot = coop.fuse(h_rs, h_is, coop.gate(h_rs, self.slot_gate))

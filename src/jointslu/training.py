@@ -55,6 +55,7 @@ class TrainConfig:
             raise ValueError("batch_size and max_epochs must be >= 1, patience >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self.flags()    # AblationFlags rejects disabling both interaction directions
 
     def flags(self) -> AblationFlags:
         return AblationFlags(
@@ -352,6 +353,8 @@ def _parse_header(raw: bytes, path: str) -> tuple[dict, ModelDims, AblationFlags
     if (set(flags) != {f.name for f in fields(AblationFlags)}
             or not all(type(b) is bool for b in flags.values())):
         raise corrupt(f"flags {flags} are not one boolean per ablation flag")
+    if not (flags["slot2intent"] or flags["intent2slot"]):
+        raise corrupt("flags disable both interaction directions")
     lists = [vocab.get(k) for k in ("words", "slot_tags", "intents")]
     if not all(isinstance(xs, list) and all(isinstance(x, str) for x in xs) for xs in lists):
         raise corrupt("vocab needs string lists words, slot_tags and intents")

@@ -299,6 +299,26 @@ class TestLeafGradients:
         p.grad[:] = 7.0
         assert np.array_equal(q.grad, [2.0])
 
+    def test_leaf_handed_an_incoming_adjoint_of_a_two_output_node(self):
+        # the node's backward gets (None, adjoint of b) and passes the second
+        # one straight to the leaf, which must copy it
+        p = param([1.0, 2.0])
+        received = []
+
+        def bk(gs):
+            received.append(gs)
+            return (gs[1],)
+
+        with Tape() as tape:
+            a, b = ad._record("split", (p.values * 2.0, p.values * 3.0), (p,), bk)
+            assert len(tape.nodes) == 1 and tape.nodes[0].outs == (a, b)
+            ad.backward(ad.sum_all(b))
+        (g_a, g_b), = received
+        assert g_a is None and np.array_equal(g_b, [1.0, 1.0])
+        assert p.grad is not g_b and not np.shares_memory(p.grad, g_b)
+        g_b[:] = 9.0
+        assert np.array_equal(p.grad, [1.0, 1.0])
+
 
 class TestGradCheck:
     def test_square(self):

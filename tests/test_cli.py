@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import shutil
 import struct
@@ -151,6 +152,18 @@ class TestTrain:
         assert run([command, *data, "--out", str(out), "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_both_directions_disabled_rejected_before_output(self, synth_dir, tmp_path,
+                                                             capsys, from_file):
+        out = tmp_path / "out"
+        switches = ["--no-slot2intent", "--no-intent2slot"]
+        if from_file:
+            (tmp_path / "run.cfg").write_text("no_slot2intent = True\nno_intent2slot = True\n")
+            switches = ["--config", str(tmp_path / "run.cfg")]
+        assert run(["train", "--data", str(synth_dir), "--out", str(out), *switches]) == 1
+        assert capsys.readouterr().err == "error: cannot disable both interaction directions\n"
+        assert not out.exists()
 
     def test_missing_data_dir_fails(self, tmp_path):
         assert run(["train", "--data", str(tmp_path / "nope"),
@@ -365,6 +378,19 @@ class TestPredict:
         assert err.startswith("error: ") and name in err and "Traceback" not in err
         assert str(bad) in err
 
+    def test_header_disabling_both_directions_names_the_file(self, trained_dir, tmp_path,
+                                                             capsys):
+        data = (trained_dir[0] / "checkpoint.bin").read_bytes()
+        (header_len,) = struct.unpack("<Q", data[8:16])
+        header = json.loads(data[16:16 + header_len])
+        header["flags"].update(slot2intent=False, intent2slot=False)
+        raw = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + header_len:])
+        assert run(["predict", "--checkpoint", str(bad), "--text", "w0 w1"]) == 1
+        assert capsys.readouterr().err == (f"error: {bad}: corrupt checkpoint header: flags "
+                                           f"disable both interaction directions\n")
+
     def test_empty_input_fails(self, trained_dir, capsys):
         out, _ = trained_dir
         assert run(["predict", "--checkpoint", str(out / "checkpoint.bin"),
@@ -525,4 +551,4 @@ class TestGradcheckCommand:
         b, _ = cli._gradcheck_fixture()
         assert np.array_equal(a.token_ids, b.token_ids)
         assert a.token_ids.shape[0] == 2
-        assert a.max_len <= 5
+        assert a.token_ids.shape[1] <= 5

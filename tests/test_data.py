@@ -114,7 +114,7 @@ class TestPadBatch:
             dat.Sample(["a", "b", "c"], ["O", "O", "O"], "x"),
             dat.Sample(["a", "b", "c", "d", "e"], ["O"] * 5, "x"),
         ], vocab)
-        assert batch.max_len == 5
+        assert batch.token_ids.shape[1] == 5
         assert batch.mask[0].tolist() == [True] * 3 + [False] * 2
         assert (batch.token_ids[0, 3:] == dat.PAD_ID).all()
         assert (batch.slot_ids[0, 3:] == dat.PAD_SLOT_ID).all()
@@ -122,7 +122,7 @@ class TestPadBatch:
     def test_single_sample_no_padding(self):
         vocab = self.vocab()
         batch = dat.pad_batch([dat.Sample(["a", "b"], ["O", "O"], "x")], vocab)
-        assert batch.max_len == 2
+        assert batch.token_ids.shape[1] == 2
         assert batch.mask.all()
 
     def test_empty_rejected(self):

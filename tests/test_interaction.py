@@ -15,11 +15,6 @@ def make_e(rng, T, B, width):
     return ad.constant(rng.uniform(-1, 1, (T * B, width)))
 
 
-def split(out, hidden):
-    """The hidden states and distributions of a decode output [T*B, hidden + K]."""
-    return out.values[:, :hidden], out.values[:, hidden:]
-
-
 def forced_after_step_zero(T, B):
     force = np.ones((T, B), dtype=bool)
     force[0] = False
@@ -40,11 +35,11 @@ class TestTeacherForcing:
         p = inter.init_decoder(3 + 4, 5, 3, rng)
         gold = np.vstack([np.eye(3)[[0, 1]], np.eye(3)[[1, 2]], np.eye(3)[[2, 0]]])
         force = forced_after_step_zero(3, 2)
-        h, _ = split(inter.decode(e, 3, p, force=force, gold=gold), 5)
+        h, _ = inter.decode(e, 3, p, force=force, gold=gold)
         h_ref, _, inputs = reference_decode(e, 3, p, force=force, gold=gold)
         # the previous-label part of the step-2 input is the gold of step 1
         assert np.array_equal(inputs[2][:, :3], gold[2:4])
-        assert np.abs(h - h_ref.values).max() <= 1e-12
+        assert np.abs(h.values - h_ref.values).max() <= 1e-12
         # at rate 1 the model forces every row after step 0, whatever the draws
         corpus, vocab = small_synth
         batch = dat.pad_batch(corpus.train[:4], vocab)
@@ -79,23 +74,24 @@ class TestDecoders:
 
         ad.lstm_scan = spy
         try:
-            first = inter.intuitive_slot_decode(e, 2, p).values
+            first = inter.intuitive_slot_decode(e, 2, p)
         finally:
             ad.lstm_scan = original
         # the previous-label columns of w_x do not reach step 0
         p.cell.w_x.values[:, :2] = rng.uniform(-1, 1, (20, 2))
-        moved = inter.intuitive_slot_decode(e, 2, p).values
-        assert np.array_equal(first[:1], moved[:1])
-        assert not np.array_equal(first[1:], moved[1:])
+        moved = inter.intuitive_slot_decode(e, 2, p)
+        for a, b in zip(first, moved):        # hidden states, then distributions
+            assert np.array_equal(a.values[:1], b.values[:1])
+            assert not np.array_equal(a.values[1:], b.values[1:])
         assert np.array_equal(captured["x"][:1], e.values[:1])
 
     def test_rows_are_distributions(self):
         rng = Rng(4)
         e = make_e(rng, 4, 3, 6)
         p = inter.init_decoder(3 + 6, 5, 3, rng)
-        _, y = split(inter.intuitive_intent_decode(e, 4, p), 5)
-        assert y.shape == (12, 3)
-        assert np.abs(y.sum(axis=1) - 1.0).max() <= 1e-12
+        h, y = inter.intuitive_intent_decode(e, 4, p)
+        assert h.shape == (12, 5) and y.shape == (12, 3)
+        assert np.abs(y.values.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_intuitive_decoders_are_symmetric(self):
         # same parameters and label count -> identical traces
@@ -104,7 +100,8 @@ class TestDecoders:
         p = inter.init_decoder(3 + 4, 5, 3, Rng(6))
         slot = inter.intuitive_slot_decode(e, 3, p)
         intent = inter.intuitive_intent_decode(e, 3, p)
-        assert np.array_equal(slot.values, intent.values)
+        for a, b in zip(slot, intent):
+            assert np.array_equal(a.values, b.values)
 
     def test_rational_input_width(self):
         rng = Rng(7)
@@ -117,18 +114,16 @@ class TestDecoders:
         e = make_e(rng, 3, 2, 4)
         p = inter.init_decoder(3 + 2 + 4, 5, 3, rng)
         y_op = ad.constant(rng.uniform(0, 1, (6, 2)))
-        _, y_a = split(inter.rational_intent_decode(e, 3, p, opposite_y=y_op), 5)
-        _, y_b = split(inter.rational_intent_decode(
-            e, 3, p, opposite_y=ad.constant(np.zeros((6, 2)))), 5)
-        assert np.abs(y_a - y_b).max() > 0.0
+        _, y_a = inter.rational_intent_decode(e, 3, p, opposite_y=y_op)
+        _, y_b = inter.rational_intent_decode(e, 3, p, opposite_y=ad.constant(np.zeros((6, 2))))
+        assert np.abs(y_a.values - y_b.values).max() > 0.0
 
     def test_eval_decode_is_deterministic(self):
         rng = Rng(9)
         e = make_e(rng, 3, 2, 4)
         p = inter.init_decoder(3 + 4, 5, 3, rng)
-        a = inter.intuitive_slot_decode(e, 3, p)
-        b = inter.intuitive_slot_decode(e, 3, p)
-        assert np.array_equal(a.values, b.values)
+        for a, b in zip(inter.intuitive_slot_decode(e, 3, p), inter.intuitive_slot_decode(e, 3, p)):
+            assert np.array_equal(a.values, b.values)
 
     def test_gradient_through_three_token_decode(self):
         rng = Rng(10)
@@ -137,8 +132,8 @@ class TestDecoders:
         gold = np.array([0, 2, 1])
 
         def f():
-            out = inter.intuitive_slot_decode(e_param, 3, p)
-            return ad.cross_entropy(ad.slice_cols(out, 5, 8), gold)
+            _, y = inter.intuitive_slot_decode(e_param, 3, p)
+            return ad.cross_entropy(y, gold)
 
         err = ad.grad_check(f, [e_param, p.cell.w_x, p.cell.w_h, p.cell.b, p.proj], 1e-4)
         assert err <= 1e-5
@@ -151,9 +146,9 @@ class TestDecoders:
         gold_ids = np.array([1, 0, 1])
 
         def f():
-            out = inter.intuitive_slot_decode(e_param, 3, p, force=forced_after_step_zero(3, 1),
-                                              gold=gold)
-            return ad.cross_entropy(ad.slice_cols(out, 5, 7), gold_ids)
+            _, y = inter.intuitive_slot_decode(e_param, 3, p, force=forced_after_step_zero(3, 1),
+                                               gold=gold)
+            return ad.cross_entropy(y, gold_ids)
 
         assert ad.grad_check(f, [e_param, p.cell.w_x, p.proj], 1e-4) <= 1e-5
 

@@ -93,13 +93,15 @@ class TestLstmScanGradcheck:
         rng = Rng(31)
         e, y_op, p, gold, force = decoder_case(rng)
         assert force[1:].any() and not force[1:].all()
-        w_out = ad.constant(rng.uniform(-1, 1, (12, 6 + 3)))
+        w_out = rng.uniform(-1, 1, (12, 6 + 3))
+        w_h_out, w_y_out = ad.constant(w_out[:, :6]), ad.constant(w_out[:, 6:])
 
         def f():
             x = ad.concat([y_op, e], axis=1)
-            out = ad.lstm_scan(x, p.cell.w_x, p.cell.w_h, p.cell.b, 4, proj=p.proj,
-                               force=force, gold=gold)
-            return ad.sum_all(ad.mul(ad.tanh(out), w_out))
+            h, y = ad.lstm_scan(x, p.cell.w_x, p.cell.w_h, p.cell.b, 4, proj=p.proj,
+                                force=force, gold=gold)
+            return ad.add(ad.sum_all(ad.mul(ad.tanh(h), w_h_out)),
+                          ad.sum_all(ad.mul(ad.tanh(y), w_y_out)))
 
         params = [e, y_op, p.cell.w_x, p.cell.w_h, p.cell.b, p.proj]
         assert ad.grad_check(f, params, 1e-5) <= 1e-5
@@ -135,14 +137,48 @@ class TestLstmScanOracle:
             return ad.add(ad.sum_all(ad.mul(h, w_h_out)), ad.sum_all(ad.mul(y, w_y_out)))
 
         def fused():
-            out = inter.decode(e, 4, p, opposite_y=y_op, force=force, gold=gold)
-            return ad.slice_cols(out, 0, 6), ad.slice_cols(out, 6, 9)
+            return inter.decode(e, 4, p, opposite_y=y_op, force=force, gold=gold)
 
         h_fused, y_fused = fused()
         h_ref, y_ref, _ = reference_decode(e, 4, p, force, gold, opposite_y=y_op)
         assert np.abs(h_fused.values - h_ref.values).max() <= 1e-12
         assert np.abs(y_fused.values - y_ref.values).max() <= 1e-12
         _, g_fused = grads_of(lambda: loss(*fused()), params)
+        _, g_oracle = grads_of(lambda: loss(*reference_decode(e, 4, p, force, gold,
+                                                              opposite_y=y_op)[:2]), params)
+        for a, b in zip(g_fused, g_oracle):
+            assert np.abs(a - b).max() <= 1e-12
+
+    @pytest.mark.parametrize("read", [("h",), ("y",), ("h", "y")])
+    def test_decoder_scan_with_adjoints_on_either_output(self, read):
+        # an output that nothing reads reaches the scan's backward as None
+        rng = Rng(36)
+        e, y_op, p, gold, force = decoder_case(rng, rate=0.5)
+        w_out = {"h": ad.constant(rng.uniform(-1, 1, (12, 6))),
+                 "y": ad.constant(rng.uniform(-1, 1, (12, 3)))}
+        params = [e, y_op, p.cell.w_x, p.cell.w_h, p.cell.b, p.proj]
+
+        def loss(h, y):
+            terms = [ad.sum_all(ad.mul(out, w_out[name]))
+                     for name, out in (("h", h), ("y", y)) if name in read]
+            return terms[0] if len(terms) == 1 else ad.add(*terms)
+
+        received = []
+
+        def fused():
+            h, y = inter.decode(e, 4, p, opposite_y=y_op, force=force, gold=gold)
+            node = h.tape.nodes[h.tape_id]
+            backward = node.backward
+
+            def spy(g):
+                received.append(g)
+                return backward(g)
+
+            node.backward = spy
+            return loss(h, y)
+
+        _, g_fused = grads_of(fused, params)
+        assert [g is not None for g in received[0]] == [name in read for name in ("h", "y")]
         _, g_oracle = grads_of(lambda: loss(*reference_decode(e, 4, p, force, gold,
                                                               opposite_y=y_op)[:2]), params)
         for a, b in zip(g_fused, g_oracle):
@@ -157,6 +193,20 @@ class TestLstmScanShapes:
         with Tape() as tape:
             ad.lstm_scan(x, p.w_x, p.w_h, p.b, 4)
         assert [n.name for n in tape.nodes] == ["lstm_scan"]
+
+    def test_nonfinite_distribution_names_the_scan(self):
+        # one step: the hidden states stay finite while +inf and -inf in one
+        # proj column make every distribution NaN
+        rng = Rng(37)
+        e = ad.parameter(rng.uniform(-1, 1, (2, 4)))
+        p = inter.init_decoder(3 + 4, 5, 3, rng)
+        p.proj.values[:2, 0] = [np.inf, -np.inf]
+        with Tape() as tape, np.errstate(invalid="ignore"):
+            x = ad.scale(e, 1.0)
+            h, y = inter.decode(x, 1, p)
+        assert np.isfinite(h.values).all() and np.isnan(y.values).all()
+        assert tape.first_nonfinite_node() is tape.nodes[1]
+        assert tape.nodes[1].name == "lstm_scan" and tape.nodes[1].out is h
 
     def test_mismatched_shapes_rejected(self):
         rng = Rng(35)

@@ -219,14 +219,15 @@ class TestForward:
             result = model.forward(batch, training=True, tf_rate=0.9, tf_rng=Rng(0),
                                    dropout_rate=0.1, dropout_rng=Rng(1))
             tr.batch_loss(result, batch, 0.5)
-        assert len(tape.nodes) <= 43
+        assert len(tape.nodes) <= 37
         # one embedding gather; the encoder's features and the two rational
         # decoders' inputs are the concats; dropout is a mul by a constant mask
         assert sum(n.name == "take_rows" for n in tape.nodes) == 1
         assert sum(n.name == "concat" for n in tape.nodes) == 3
         assert sum(n.name == "dropout" for n in tape.nodes) == 0
-        # the hidden states of all four decoders and the intuitive distributions
-        assert sum(n.name == "slice_cols" for n in tape.nodes) == 6
+        # each decoder's hidden states and distributions are two outputs of its scan
+        assert sum(n.name == "slice_cols" for n in tape.nodes) == 0
+        assert sum(n.name == "lstm_scan" and len(n.outs) == 2 for n in tape.nodes) == 4
         # each loss reads a head's logits, the two softmaxes are the gates, and
         # the three muls are dropout's and the two fuses'
         assert sum(n.name == "cross_entropy" for n in tape.nodes) == 2
