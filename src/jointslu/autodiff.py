@@ -421,6 +421,12 @@ def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, steps: int,
     set, which read the gold row ``gold[(t-1)*B + b]`` ([T*B, K]) instead. The
     result is the pair ``(h [T*B, h], y [T*B, K])``, two outputs of one node.
 
+    A step allocates nothing. The states live in ``[T+1, B, h]`` buffers whose
+    start slot is zero, so ``h_{t-1}`` and ``h_t`` are neighbouring slots; the
+    pre-activations are summed into ``acts[t]`` and turned into gate
+    activations there, and the softmax runs in ``y[t]``. Steps where no row is
+    masked skip the multiply by the mask, since ``x * 1.0 == x``.
+
     Backward is hand-written BPTT: the gradients of ``x``, ``w_x``, ``w_h``,
     ``b`` and ``proj`` each come from one product over the whole sequence.
     """
@@ -440,79 +446,97 @@ def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, steps: int,
     if force is not None and (K == 0 or force.shape != (T, B) or gold is None
                               or gold.shape != (T * B, K)):
         raise ShapeError("lstm_scan: teacher forcing needs proj, force [T, B] and gold [T*B, K]")
+    if reverse and K:
+        raise ShapeError("lstm_scan: a decoder scan (with proj) runs forward only")
     keep = None if mask is None else mask.T[:, :, None].astype(np.float64)
+    padded = np.zeros(T, bool) if mask is None else ~mask.all(axis=0)   # steps with a masked row
     gold_t = None if force is None else gold.reshape(T, B, K)
     w_in, w_y = wx[:, K:], wx[:, :K]
-    i_f, cell, out_gate = slice(0, 2 * hid), slice(2 * hid, 3 * hid), slice(3 * hid, None)
+    proj_t = None if proj is None else proj.values.T
+    forget, cell, out_gate = slice(hid, 2 * hid), slice(2 * hid, 3 * hid), slice(3 * hid, None)
 
-    gx = (xv @ w_in.T + bv).reshape(T, B, 4 * hid)
-    acts = np.empty((T, B, 4 * hid))       # gate activations
-    c_prev = np.empty((T, B, hid))
-    h_prev = np.empty((T, B, hid))
+    # the zero start state is slot 0, or slot T when reverse
+    h_buf = np.empty((T + 1, B, hid))
+    c_buf = np.empty((T + 1, B, hid))
+    zero, new, old = ((T, slice(0, T), slice(1, T + 1)) if reverse
+                      else (0, slice(1, T + 1), slice(0, T)))
+    h_buf[zero] = 0.0
+    c_buf[zero] = 0.0
+    hs, h_prev, cs, c_prev = h_buf[new], h_buf[old], c_buf[new], c_buf[old]
+    acts = xv @ w_in.T                     # pre-activations, then gate activations
+    acts += bv
+    acts = acts.reshape(T, B, 4 * hid)
     tanh_c = np.empty((T, B, hid))
-    hs = np.empty((T, B, hid))
     ys = np.empty((T, B, K))
     prevs = np.zeros((T, B, K))            # previous-label vectors read
-    h = np.zeros((B, hid))
-    c = np.zeros((B, hid))
+    rec = np.empty((B, 4 * hid))           # scratch: one recurrent product
+    tmp = np.empty((B, hid))               # scratch: tanh of the cell block, then i*g
+    row_max = np.empty((B, 1))
     order = range(T - 1, -1, -1) if reverse else range(T)
     for t in order:
-        gates = gx[t]
-        if K and t:
-            prev = ys[t - 1] if force is None else np.where(force[t][:, None], gold_t[t - 1],
-                                                            ys[t - 1])
-            prevs[t] = prev
-            gates = gates + prev @ w_y.T
-        gates = gates + h @ wh.T
         a = acts[t]
-        a[:, i_f] = 1.0 / (1.0 + np.exp(-gates[:, i_f]))
-        a[:, cell] = np.tanh(gates[:, cell])
-        a[:, out_gate] = 1.0 / (1.0 + np.exp(-gates[:, out_gate]))
-        c_prev[t] = c
-        h_prev[t] = h
-        c = a[:, hid:2 * hid] * c + a[:, :hid] * a[:, cell]
-        tanh_c[t] = np.tanh(c)
-        h = a[:, out_gate] * tanh_c[t]
-        if keep is not None:
-            h = h * keep[t]
-            c = c * keep[t]
-        hs[t] = h
+        if K and t:
+            prev = prevs[t]
+            np.copyto(prev, ys[t - 1])
+            if force is not None:
+                np.copyto(prev, gold_t[t - 1], where=force[t][:, None])
+            a += np.matmul(prev, w_y.T, out=rec)
+        a += np.matmul(h_prev[t], wh.T, out=rec)
+        np.tanh(a[:, cell], out=tmp)
+        np.negative(a, out=a)              # sigmoid 1 / (1 + exp(-x)) over the row
+        np.exp(a, out=a)
+        a += 1.0
+        np.divide(1.0, a, out=a)
+        a[:, cell] = tmp
+        c = np.multiply(a[:, forget], c_prev[t], out=cs[t])
+        c += np.multiply(a[:, :hid], a[:, cell], out=tmp)
+        np.tanh(c, out=tanh_c[t])
+        h = np.multiply(a[:, out_gate], tanh_c[t], out=hs[t])
+        if padded[t]:
+            h *= keep[t]
+            c *= keep[t]
         if K:
-            z = h @ proj.values.T
-            e = np.exp(z - z.max(axis=1, keepdims=True))
-            ys[t] = e / e.sum(axis=1, keepdims=True)
+            y = np.matmul(h, proj_t, out=ys[t])
+            y -= np.maximum.reduce(y, axis=1, keepdims=True, out=row_max)
+            np.exp(y, out=y)
+            y /= np.add.reduce(y, axis=1, keepdims=True, out=row_max)
 
     def bk(g):
         g_h, g_y = (g, None) if proj is None else g
-        g_h = np.zeros((T, B, hid)) if g_h is None else g_h.reshape(T, B, hid)
+        g_h = None if g_h is None else g_h.reshape(T, B, hid)
         g_y = np.zeros((T, B, K)) if g_y is None else g_y.reshape(T, B, K)
         d_act = acts * (1.0 - acts)
         d_act[..., cell] = 1.0 - acts[..., cell] ** 2
+        d_tanh = 1.0 - tanh_c ** 2
         d_gates = np.empty((T, B, 4 * hid))
         d_z = np.empty((T, B, K))
         dh = np.zeros((B, hid))
         dc = np.zeros((B, hid))
+        tmp = np.empty((B, hid))
         dy = None                          # gradient reaching y_t from step t + 1
         for t in reversed(order):
-            dh = dh + g_h[t]
+            if g_h is not None:
+                dh += g_h[t]
             if K:
                 y = ys[t]
                 gy = g_y[t] if dy is None else g_y[t] + dy
                 d_z[t] = (gy - (gy * y).sum(axis=1, keepdims=True)) * y
                 dh += d_z[t] @ proj.values
-            if keep is not None:
-                dh = dh * keep[t]
-                dc = dc * keep[t]
+            if padded[t]:
+                dh *= keep[t]
+                dc *= keep[t]
             a = acts[t]
-            dc = dc + dh * a[:, out_gate] * (1.0 - tanh_c[t] ** 2)
+            np.multiply(dh, a[:, out_gate], out=tmp)
+            tmp *= d_tanh[t]
+            dc += tmp
             dg = d_gates[t]
             np.multiply(dc, a[:, cell], out=dg[:, :hid])
-            np.multiply(dc, c_prev[t], out=dg[:, hid:2 * hid])
+            np.multiply(dc, c_prev[t], out=dg[:, forget])
             np.multiply(dc, a[:, :hid], out=dg[:, cell])
             np.multiply(dh, tanh_c[t], out=dg[:, out_gate])
             dg *= d_act[t]
-            dc = dc * a[:, hid:2 * hid]
-            dh = dg @ wh
+            dc *= a[:, forget]
+            np.matmul(dg, wh, out=dh)
             if K and t:
                 dy = dg @ w_y
                 if force is not None:

@@ -118,7 +118,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError("train needs a corpus directory (--data) and an output "
                          "directory (--out), on the command line or in the config file")
     corpus = dat.load_corpus(cfg.data)
-    for split in ("dev", "test"):
+    for split in ("train", "dev", "test"):
         if not corpus.split(split):
             raise ValueError(f"{cfg.data}: the {split} split is empty")
     vocab = dat.build_vocabs(corpus)

@@ -53,8 +53,20 @@ def _valid_tag(tag: str) -> bool:
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        return f.read().splitlines()
+    """The lines of a UTF-8 file, split at newlines only: ``str.splitlines``
+    would also split inside a line at U+2028, U+0085 or a form feed."""
+    # undecodable bytes read as lone surrogates, which do not encode back
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        text = f.read()
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        line = text.count("\n", 0, e.start) + 1
+        raise CorpusFormatError(f"{path}:{line}: not valid UTF-8") from None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def _load_split(split_dir: str) -> list[Sample]:

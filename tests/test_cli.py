@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from jointslu import autodiff as ad
 from jointslu import cli
+from jointslu import data as dat
 from jointslu import training as tr
 
 
@@ -271,6 +272,81 @@ class TestConfigFuzz:
         assert not out.exists()
 
 
+def corpus_argv(command, trained_dir, data, out):
+    """A tiny one-epoch ``train`` on ``data``, or ``evaluate`` of its test split."""
+    if command == "train":
+        return ["train", "--data", str(data), "--out", str(out), "--emb-dim", "4",
+                "--hidden", "4", "--max-epochs", "1", "--batch-size", "8", "--seed", "1"]
+    return ["evaluate", "--checkpoint", str(trained_dir[0] / "checkpoint.bin"),
+            "--data", str(data), "--split", "test"]
+
+
+def text_lines(raw):
+    """The lines of a corpus file: universal newlines, split at newlines only."""
+    lines = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
+class TestCorpusInput:
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_invalid_utf8_names_file_and_line(self, trained_dir, synth_dir, tmp_path, capsys,
+                                              command):
+        data = tmp_path / "corpus"
+        shutil.copytree(synth_dir, data)
+        path = data / "test" / "label"
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"\n".join(lines))
+        assert run(corpus_argv(command, trained_dir, data, tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: {path}:3: not valid UTF-8\n"
+
+    def test_empty_train_split_names_the_corpus(self, synth_dir, tmp_path, capsys):
+        data = tmp_path / "corpus"
+        shutil.copytree(synth_dir, data)
+        for name in ("seq.in", "seq.out", "label"):
+            (data / "train" / name).write_text("")
+        assert run(corpus_argv("train", None, data, tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: {data}: the train split is empty\n"
+
+
+CORPUS_LINES = st.one_of(
+    st.text(max_size=24),
+    st.lists(st.sampled_from(["O", "B-x", "I-x", "B-", "x", "play", "\u2028", "\x85", "\x0c",
+                              "\r"]), max_size=5).map(" ".join),
+)
+CORPUS_FILES = st.one_of(
+    st.lists(CORPUS_LINES, max_size=4).map(lambda lines: "\n".join(lines).encode("utf-8")),
+    st.binary(max_size=40),
+)
+
+
+class TestCorpusFuzz:
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @given(split=st.sampled_from(["train", "valid", "test"]),
+           files=st.tuples(CORPUS_FILES, CORPUS_FILES, CORPUS_FILES))
+    @settings(max_examples=150, deadline=None)
+    def test_garbage_corpus_fails_cleanly(self, trained_dir, synth_dir, tmp_path_factory,
+                                          command, split, files):
+        d = tmp_path_factory.mktemp("corpus")
+        data = d / "data"
+        shutil.copytree(synth_dir, data)
+        for name, raw in zip(("seq.in", "seq.out", "label"), files):
+            (data / split / name).write_bytes(raw)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = run(corpus_argv(command, trained_dir, data, d / "out"))
+        err = stderr.getvalue()
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            # a corpus error names the corpus; evaluate may also reject its labels
+            assert str(data) in err or (command == "evaluate" and "vocabulary mismatch" in err), err
+            return
+        # the garbage was a well-formed split: one sample per line of each file
+        assert code == 0 and err == ""
+        samples = dat.load_corpus(data).split(split)
+        assert [s.intent for s in samples] == [line.strip() for line in text_lines(files[2])]
+
+
 class TestEvaluate:
     def test_report_to_stdout_and_file(self, trained_dir, synth_dir, tmp_path, capsys):
         out, _ = trained_dir
@@ -294,7 +370,6 @@ class TestEvaluate:
     def test_overfit_checkpoint_scores_one_on_train(self, tmp_path, capsys):
         corpus_dir = tmp_path / "four"
         from conftest import overfit_corpus
-        from jointslu import data as dat
         dat.write_corpus(overfit_corpus(), corpus_dir)
         out = tmp_path / "out"
         assert run(["train", "--data", str(corpus_dir), "--out", str(out),

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from jointslu.data import CorpusFormatError
 def write_split(root, name, rows):
     d = os.path.join(root, name)
     os.makedirs(d, exist_ok=True)
-    with open(os.path.join(d, "seq.in"), "w") as f:
+    with open(os.path.join(d, "seq.in"), "w", encoding="utf-8") as f:
         f.writelines(r[0] + "\n" for r in rows)
-    with open(os.path.join(d, "seq.out"), "w") as f:
+    with open(os.path.join(d, "seq.out"), "w", encoding="utf-8") as f:
         f.writelines(r[1] + "\n" for r in rows)
-    with open(os.path.join(d, "label"), "w") as f:
+    with open(os.path.join(d, "label"), "w", encoding="utf-8") as f:
         f.writelines(r[2] + "\n" for r in rows)
 
 
@@ -60,6 +61,25 @@ class TestLoadCorpus:
     def test_empty_utterance_rejected(self, tmp_path):
         write_minimal_corpus(tmp_path, [("", "", "greet")])
         with pytest.raises(CorpusFormatError, match="empty"):
+            dat.load_corpus(tmp_path)
+
+    def test_unicode_line_boundaries_stay_inside_a_line(self, tmp_path):
+        # str.splitlines would also split at U+2028, and pair later lines
+        # with the wrong tags and labels
+        rows = [("play a\u2028song", "O O\u2028B-track", "music"),
+                ("wake me up", "O O O", "alarm"),
+                ("find red shoes", "O B-color B-item", "shop\u2028ping"),
+                ("stop", "O", "halt")]
+        write_minimal_corpus(tmp_path, rows)
+        train = dat.load_corpus(tmp_path).train
+        assert [(s.tokens, s.slot_tags, s.intent) for s in train] == [
+            (r[0].split(), r[1].split(), r[2]) for r in rows]
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        write_minimal_corpus(tmp_path, [GOOD_ROW, ("a b", "O O", "greet")])
+        path = tmp_path / "train" / "seq.out"
+        path.write_bytes(path.read_bytes().replace(b"O O\n", b"O \xff\n"))
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:2: not valid UTF-8$"):
             dat.load_corpus(tmp_path)
 
     def test_missing_split(self, tmp_path):

@@ -3,6 +3,8 @@ oracle, ``encoder.lstm_step`` composed from primitive ops."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointslu import autodiff as ad
 from jointslu import encoder as enc
@@ -57,6 +59,13 @@ def grads_of(loss_fn, params):
         loss = loss_fn()
         ad.backward(loss)
     return loss.item(), [q.grad.copy() for q in params]
+
+
+def read_loss(h, y, w_out, read):
+    """Weighted sums of the decoder outputs named in ``read`` ("h" and/or "y")."""
+    terms = [ad.sum_all(ad.mul(out, w_out[name]))
+             for name, out in (("h", h), ("y", y)) if name in read]
+    return terms[0] if len(terms) == 1 else ad.add(*terms)
 
 
 PADDED_MASK = np.array([[True, True, True, True],
@@ -159,9 +168,7 @@ class TestLstmScanOracle:
         params = [e, y_op, p.cell.w_x, p.cell.w_h, p.cell.b, p.proj]
 
         def loss(h, y):
-            terms = [ad.sum_all(ad.mul(out, w_out[name]))
-                     for name, out in (("h", h), ("y", y)) if name in read]
-            return terms[0] if len(terms) == 1 else ad.add(*terms)
+            return read_loss(h, y, w_out, read)
 
         received = []
 
@@ -208,6 +215,14 @@ class TestLstmScanShapes:
         assert tape.first_nonfinite_node() is tape.nodes[1]
         assert tape.nodes[1].name == "lstm_scan" and tape.nodes[1].out is h
 
+    def test_reverse_decoder_rejected(self):
+        # a reverse decoder would read y_{t-1} before step t - 1 ran
+        rng = Rng(38)
+        p = inter.init_decoder(3 + 4, 5, 3, rng)
+        with pytest.raises(ShapeError, match="forward only"):
+            ad.lstm_scan(ad.constant(np.ones((4, 4))), p.cell.w_x, p.cell.w_h, p.cell.b, 2,
+                         reverse=True, proj=p.proj)
+
     def test_mismatched_shapes_rejected(self):
         rng = Rng(35)
         p = enc.init_lstm(5, 6, rng)
@@ -218,3 +233,73 @@ class TestLstmScanShapes:
         with pytest.raises(ShapeError):
             ad.lstm_scan(ad.constant(np.ones((12, 5))), p.w_x, p.w_h, p.b, 4,
                          mask=np.ones((4, 3), dtype=bool))
+
+
+def assert_close(a, b):
+    assert a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= 1e-12
+
+
+READS = [("h",), ("y",), ("h", "y")]
+
+
+class TestLstmScanDifferential:
+    """Random shapes, lengths, force masks and adjoints against the per-step
+    oracles: every value and every gradient within 1e-12."""
+
+    @given(B=st.integers(1, 4), T=st.integers(1, 5), width=st.integers(1, 4),
+           hidden=st.integers(1, 5), reverse=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_encoder_scan(self, B, T, width, hidden, reverse, seed, data):
+        lengths = data.draw(st.lists(st.integers(0, T), min_size=B, max_size=B))
+        mask = np.arange(T)[None, :] < np.array(lengths)[:, None]
+        rng = Rng(seed)
+        p = enc.init_lstm(width, hidden, rng)
+        x = ad.parameter(rng.uniform(-1, 1, (T * B, width)))
+        w_out = ad.constant(rng.uniform(-1, 1, (T * B, hidden)))
+        params = [x, p.w_x, p.w_h, p.b]
+
+        def fused():
+            return ad.lstm_scan(x, p.w_x, p.w_h, p.b, T, mask=mask, reverse=reverse)
+
+        def oracle():
+            return reference_scan(x, T, p, mask, reverse)
+
+        assert_close(fused().values, oracle().values)
+        _, g_fused = grads_of(lambda: ad.sum_all(ad.mul(fused(), w_out)), params)
+        _, g_oracle = grads_of(lambda: ad.sum_all(ad.mul(oracle(), w_out)), params)
+        for a, b in zip(g_fused, g_oracle):
+            assert_close(a, b)
+
+    @given(B=st.integers(1, 4), T=st.integers(1, 5), e_width=st.integers(1, 3),
+           hidden=st.integers(1, 5), K=st.integers(1, 4), K_op=st.integers(0, 3),
+           forced=st.booleans(), read=st.sampled_from(READS),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_decoder_scan(self, B, T, e_width, hidden, K, K_op, forced, read, seed):
+        rng = Rng(seed)
+        e = ad.parameter(rng.uniform(-1, 1, (T * B, e_width)))
+        y_op = ad.parameter(rng.uniform(0, 1, (T * B, K_op))) if K_op else None
+        p = inter.init_decoder(K + K_op + e_width, hidden, K, rng)
+        gold = np.eye(K)[rng.integers(0, K, T * B)]
+        force = rng.random((T, B)) < rng.random() if forced else None
+        w_out = {"h": ad.constant(rng.uniform(-1, 1, (T * B, hidden))),
+                 "y": ad.constant(rng.uniform(-1, 1, (T * B, K)))}
+        params = [e] + ([y_op] if K_op else []) + [p.cell.w_x, p.cell.w_h, p.cell.b, p.proj]
+
+        def loss(h, y):
+            return read_loss(h, y, w_out, read)
+
+        def fused():
+            return inter.decode(e, T, p, opposite_y=y_op, force=force,
+                                gold=None if force is None else gold)
+
+        def oracle():
+            return reference_decode(e, T, p, force, gold, opposite_y=y_op)[:2]
+
+        for a, b in zip(fused(), oracle()):
+            assert_close(a.values, b.values)
+        _, g_fused = grads_of(lambda: loss(*fused()), params)
+        _, g_oracle = grads_of(lambda: loss(*oracle()), params)
+        for a, b in zip(g_fused, g_oracle):
+            assert_close(a, b)
