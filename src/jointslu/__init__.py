@@ -7,6 +7,6 @@ from .metrics import MetricsReport, compute_report, extract_chunks, intent_error
     sentence_accuracy, slot_f1
 from .model import AblationFlags, JointModel, ModelDims, build_model
 from .training import Adam, TrainConfig, TrainResult, derive_streams, evaluate_model, \
-    intent_loss, joint_loss, load_checkpoint, save_checkpoint, slot_loss, train
+    intent_loss, load_checkpoint, save_checkpoint, slot_loss, train
 
 __version__ = "0.1.0"

@@ -18,8 +18,7 @@ __all__ = [
     "Tensor", "Tape", "Rng", "ShapeError",
     "constant", "parameter", "uniform_parameter",
     "matmul", "linear", "add", "sub", "mul",
-    "concat", "sigmoid", "tanh", "softmax",
-    "exp", "scale", "sum_all",
+    "concat", "sigmoid", "tanh", "softmax", "sum_all",
     "take_rows", "slice_cols", "cross_entropy",
     "lstm_scan", "gaussian_attention", "backward", "grad_check",
 ]
@@ -318,24 +317,6 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     return _record("softmax", out, (x,), bk)
 
 
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.values)
-
-    def bk(g, e=out):
-        return (g * e,)
-
-    return _record("exp", out, (x,), bk)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a plain (non-differentiated) scalar constant."""
-
-    def bk(g):
-        return (g * c,)
-
-    return _record("scale", x.values * c, (x,), bk)
-
-
 def sum_all(x: Tensor) -> Tensor:
     shape = x.values.shape
 
@@ -372,14 +353,15 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return _record("slice_cols", xv[:, start:stop].copy(), (x,), bk)
 
 
-def cross_entropy(z: Tensor, ids: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
+def cross_entropy(z: Tensor, ids: np.ndarray, weights: np.ndarray | float = 1.0) -> Tensor:
     """``[sum_i w_i * (logsumexp(z_i) - z[i, ids_i])]`` for logits ``z``, one column
-    id per row, each row weighted by ``weights`` (all ones when None; a zero
-    weight drops the row and its gradient). No rounded probability is logged."""
+    id per row, each row weighted by ``weights``, one per row or one for all (a
+    zero weight drops the row and its gradient). No rounded probability is
+    logged."""
     ids = np.asarray(ids, dtype=np.intp)
     zv = z.values
     n = zv.shape[0]
-    w = 1.0 if weights is None else np.asarray(weights, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
     if zv.ndim != 2 or ids.shape != (n,) or np.shape(w) not in ((), (n,)):
         raise ShapeError(f"cross_entropy needs one id and one weight per row, got ids "
                          f"{ids.shape} and weights {np.shape(w)} for {zv.shape}")
@@ -560,34 +542,38 @@ def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, steps: int,
     return _record("lstm_scan", (h_out, ys.reshape(T * B, K)), (x, w_x, w_h, b, proj), bk)
 
 
-def gaussian_attention(x: Tensor, mask: np.ndarray, w: Tensor,
-                       b: Tensor) -> tuple[Tensor, np.ndarray]:
+def gaussian_attention(x: Tensor, mask: np.ndarray, w_raw: Tensor,
+                       b_raw: Tensor) -> tuple[Tensor, np.ndarray]:
     """Self-attention of each utterance over its own tokens, recorded as one
     operation. Returns the context ``[T*B, d]`` and, as a plain array, the
     weights ``[B, T, T]``.
 
     ``x`` is time-major (row ``t * B + b`` is utterance b's token t) and
     ``mask`` [B, T] marks real tokens. Query i scores key j as
-    ``x_i . x_j - |w * (i - j)^2 + b|`` for single-element tensors ``w`` and
-    ``b``: the locality prior of Guo et al.'s Gaussian Transformer. Masked
-    keys get weight 0, masked queries get a zero context row, and an utterance
-    with no real token gets all-zero weights.
+    ``x_i . x_j - |w * (i - j)^2 + b|``, the locality prior of Guo et al.'s
+    Gaussian Transformer, with ``w = exp(w_raw) > 0`` and
+    ``b = -exp(b_raw) < 0`` from single-element tensors, so the prior stays
+    well-formed for any raw values. Masked keys get weight 0, masked queries
+    get a zero context row, and an utterance with no real token gets all-zero
+    weights.
 
-    Backward is hand-written for x, w and b; at the kink of ``|.|`` it takes
-    ``sign(0) = 0``.
+    Backward is hand-written for x, w_raw and b_raw; at the kink of ``|.|`` it
+    takes ``sign(0) = 0``.
     """
-    xv, wv, bv = x.values, w.values, b.values
+    xv, wv, bv = x.values, w_raw.values, b_raw.values
     mask = np.asarray(mask, dtype=bool)
     if (mask.ndim != 2 or xv.ndim != 2 or xv.shape[0] != mask.size
             or wv.size != 1 or bv.size != 1):
         raise ShapeError(f"gaussian_attention: x {xv.shape} does not match mask {mask.shape}, "
-                         f"or w {wv.shape} / b {bv.shape} is not a single element")
+                         f"or w_raw {wv.shape} / b_raw {bv.shape} is not a single element")
     B, T = mask.shape
     d = xv.shape[1]
+    w = np.exp(wv)
+    b = np.exp(bv) * -1.0
     xb = np.ascontiguousarray(xv.reshape(T, B, d).transpose(1, 0, 2))    # [B, T, d]
     pos = np.arange(T, dtype=np.float64)
     d2 = (pos[:, None] - pos[None, :]) ** 2
-    u = d2 * wv.reshape(()) + bv.reshape(())
+    u = d2 * w.reshape(()) + b.reshape(())
     scores = xb @ xb.transpose(0, 2, 1)
     scores -= np.abs(u)
     key = mask[:, None, :]
@@ -604,8 +590,8 @@ def gaussian_attention(x: Tensor, mask: np.ndarray, w: Tensor,
     context *= query
 
     def bk(g):
-        gc = np.ascontiguousarray(g.reshape(T, B, d).transpose(1, 0, 2))
-        gc *= query
+        # a fresh array: at T == 1 or B == 1 the transpose is a view of g
+        gc = np.multiply(g.reshape(T, B, d).transpose(1, 0, 2), query, order="C")
         d_weights = gc @ xb.transpose(0, 2, 1)
         ds = (d_weights - (d_weights * weights).sum(axis=2, keepdims=True)) * weights
         dx = None
@@ -616,11 +602,11 @@ def gaussian_attention(x: Tensor, mask: np.ndarray, w: Tensor,
             dx = dx.transpose(1, 0, 2).reshape(T * B, d)
         du = -ds.sum(axis=0) * np.sign(u)
         return (dx,
-                np.full(wv.shape, (du * d2).sum()) if w.requires_grad else None,
-                np.full(bv.shape, du.sum()) if b.requires_grad else None)
+                (du * d2).sum() * w if w_raw.requires_grad else None,
+                du.sum() * b if b_raw.requires_grad else None)
 
     out = _record("gaussian_attention", context.transpose(1, 0, 2).reshape(T * B, d),
-                  (x, w, b), bk)
+                  (x, w_raw, b_raw), bk)
     return out, weights
 
 

@@ -152,12 +152,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_labels(samples: list[dat.Sample], vocab: dat.Vocab, split_dir: str) -> None:
+    """Reject the first slot tag or intent the checkpoint's vocabulary lacks,
+    naming its file and line (sample i is line i + 1)."""
+    for line, s in enumerate(samples, 1):
+        for tag in s.slot_tags:
+            if tag not in vocab.tag_to_id:
+                raise ValueError(f"{os.path.join(split_dir, 'seq.out')}:{line}: slot tag "
+                                 f"{tag!r} is not in the checkpoint's vocabulary")
+        if s.intent not in vocab.intent_to_id:
+            raise ValueError(f"{os.path.join(split_dir, 'label')}:{line}: intent "
+                             f"{s.intent!r} is not in the checkpoint's vocabulary")
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     corpus = dat.load_corpus(args.data)
     samples = corpus.split(args.split)
     if not samples:
         raise ValueError(f"{args.data}: the {args.split} split is empty")
     ckpt = tr.load_checkpoint(args.checkpoint)
+    _check_labels(samples, ckpt.vocab,
+                  os.path.join(args.data, dat.SPLIT_DIRS.get(args.split, args.split)))
     model = ckpt.build_model()
     report = tr.evaluate_model(model, samples, ckpt.vocab, args.batch_size)
     text = report.to_text()

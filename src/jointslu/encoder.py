@@ -46,15 +46,12 @@ class LstmParams:
 
 @dataclass
 class GaussianAttentionParams:
-    """Unconstrained scalars; the effective weights are w = exp(w_raw) > 0
+    """Unconstrained scalars; ``ad.gaussian_attention`` applies w = exp(w_raw) > 0
     and b = -exp(b_raw) < 0, so the locality penalty stays well-formed for
     any optimizer trajectory."""
 
     w_raw: Tensor  # [1]
     b_raw: Tensor  # [1]
-
-    def effective(self) -> tuple[Tensor, Tensor]:
-        return ad.exp(self.w_raw), ad.scale(ad.exp(self.b_raw), -1.0)
 
 
 # The initializers take ``rng=None`` for a model whose values will be loaded:
@@ -109,20 +106,20 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams) -> tuple
     return h_new, c
 
 
-def gaussian_self_attention(x: Tensor, mask: np.ndarray, w_eff: Tensor,
-                            b_eff: Tensor) -> tuple[Tensor, np.ndarray]:
+def gaussian_self_attention(x: Tensor, mask: np.ndarray, w_raw: Tensor,
+                            b_raw: Tensor) -> tuple[Tensor, np.ndarray]:
     """Context vectors and attention weights of time-major x [T*B, d] under a
     [B, T] mask, or of one utterance's x [T, d] under a [T] mask.
 
-    Scores are the dot products x_i . x_j plus the locality prior; masked key
-    positions get weight 0 and masked query rows come out zero. The weights
-    are [B, T, T], or [T, T] for one utterance.
+    Scores are the dot products x_i . x_j plus the locality prior built from
+    the raw scalars; masked key positions get weight 0 and masked query rows
+    come out zero. The weights are [B, T, T], or [T, T] for one utterance.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim == 1:
-        context, weights = ad.gaussian_attention(x, mask[None, :], w_eff, b_eff)
+        context, weights = ad.gaussian_attention(x, mask[None, :], w_raw, b_raw)
         return context, weights[0]
-    return ad.gaussian_attention(x, mask, w_eff, b_eff)
+    return ad.gaussian_attention(x, mask, w_raw, b_raw)
 
 
 def encode_batch(token_ids: np.ndarray, mask: np.ndarray, emb_table: EmbeddingTable,
@@ -146,7 +143,7 @@ def encode_batch(token_ids: np.ndarray, mask: np.ndarray, emb_table: EmbeddingTa
         x = ad.mul(x, ad.constant(kept.transpose(1, 0, 2).reshape(T * B, -1)
                                   / (1.0 - dropout_rate)))
     # recorded before the scans, so x's adjoint adds attention's gradient last
-    parts = [] if attn is None else [gaussian_self_attention(x, mask, *attn.effective())[0]]
+    parts = [] if attn is None else [gaussian_self_attention(x, mask, attn.w_raw, attn.b_raw)[0]]
     h_fwd = ad.lstm_scan(x, fwd.w_x, fwd.w_h, fwd.b, T, mask=mask)
     h_bwd = ad.lstm_scan(x, bwd.w_x, bwd.w_h, bwd.b, T, mask=mask, reverse=True)
     return ad.concat([h_fwd, h_bwd, *parts], axis=1)

@@ -9,37 +9,31 @@ precision/recall/F1 are micro-averaged over the corpus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     type: str
     start: int
     end: int   # inclusive
 
 
 def extract_chunks(tags: list[str]) -> set[Chunk]:
+    """Each tag continues the open chunk (an I- tag of its type), or closes it;
+    a B- or I- tag then opens a chunk of its own type."""
     chunks: set[Chunk] = set()
     cur_type: str | None = None
     start = 0
-
-    def close(end: int) -> None:
-        nonlocal cur_type
-        if cur_type is not None:
-            chunks.add(Chunk(cur_type, start, end))
-            cur_type = None
-
     for i, tag in enumerate(tags):
-        if tag.startswith("B-"):
-            close(i - 1)
-            cur_type, start = tag[2:], i
-        elif tag.startswith("I-"):
-            if cur_type != tag[2:]:
-                close(i - 1)
-                cur_type, start = tag[2:], i
-        else:
-            close(i - 1)
-    close(len(tags) - 1)
+        prefix, kind = tag[:2], tag[2:]
+        if prefix == "I-" and kind == cur_type:
+            continue
+        if cur_type is not None:
+            chunks.add(Chunk(cur_type, start, i - 1))
+        cur_type = kind if prefix in ("B-", "I-") else None
+        start = i
+    if cur_type is not None:
+        chunks.add(Chunk(cur_type, start, len(tags) - 1))
     return chunks
 
 

@@ -70,32 +70,33 @@ class TrainingDiverged(RuntimeError):
     """The loss became non-finite; names the first offending tensor."""
 
 
-def slot_loss(z_slot: Tensor, slot_ids: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Sum of -log p(gold slot) over unmasked tokens of the whole batch; the
-    logits z_slot are time-major [T*B, n_slots], slot_ids and mask are [B, T]."""
+def slot_loss(z_slot: Tensor, slot_ids: np.ndarray, mask: np.ndarray,
+              weight: float = 1.0) -> Tensor:
+    """``weight`` times the sum of -log p(gold slot) over unmasked tokens of the
+    whole batch; the logits z_slot are time-major [T*B, n_slots], slot_ids and
+    mask are [B, T]."""
     n_slots = z_slot.shape[1]
     ids = slot_ids.T.reshape(-1)
     valid = mask.T.reshape(-1)
     bad = np.flatnonzero(valid & ((ids < 0) | (ids >= n_slots)))
     if bad.size:
         raise IndexError(f"gold slot id out of range at step {bad[0] // slot_ids.shape[0]}")
-    return ad.cross_entropy(z_slot, np.where(valid, ids, 0), valid.astype(np.float64))
+    return ad.cross_entropy(z_slot, np.where(valid, ids, 0), weight * valid)
 
 
-def intent_loss(z_intent: Tensor, intent_ids: np.ndarray) -> Tensor:
-    """Sum of -log p(gold intent) over the batch, from the logits [B, n_intents]."""
-    return ad.cross_entropy(z_intent, intent_ids)
-
-
-def joint_loss(l_slot: Tensor, l_intent: Tensor, lam: float) -> Tensor:
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    return ad.add(ad.scale(l_slot, lam), ad.scale(l_intent, 1.0 - lam))
+def intent_loss(z_intent: Tensor, intent_ids: np.ndarray, weight: float = 1.0) -> Tensor:
+    """``weight`` times the sum of -log p(gold intent) over the batch, from the
+    logits [B, n_intents]."""
+    return ad.cross_entropy(z_intent, intent_ids, weight)
 
 
 def batch_loss(result: ForwardResult, batch: UtteranceBatch, lam: float) -> Tensor:
-    return joint_loss(slot_loss(result.z_slot, batch.slot_ids, batch.mask),
-                      intent_loss(result.z_intent, batch.intent_ids), lam)
+    """The joint objective; lambda and 1 - lambda ride in each loss's row
+    weights, so the add hands both losses an adjoint of exactly 1."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+    return ad.add(slot_loss(result.z_slot, batch.slot_ids, batch.mask, lam),
+                  intent_loss(result.z_intent, batch.intent_ids, 1.0 - lam))
 
 
 # Elements per Adam update block: a block of each of the parameter, its

@@ -8,7 +8,8 @@ from jointslu.autodiff import Rng, ShapeError, Tape
 
 def reference_attention(x, mask, w, b):
     """Plain-numpy attention, one utterance and one query at a time, over
-    time-major x [T*B, d] and mask [B, T]; returns (context, weights)."""
+    time-major x [T*B, d] and mask [B, T], with the prior's w and b as given
+    (not raw); returns (context, weights)."""
     B, T = mask.shape
     xs = x.reshape(T, B, -1)
     pos = np.arange(T)
@@ -40,10 +41,10 @@ class TestGaussianAttentionOp:
         rng = Rng(20 + B)
         x = rng.uniform(-1.5, 1.5, (T * B, d))
         mask = padded_mask(rng, B, T)
-        for w, b in ((0.7, -0.5), (1.0, -1.0), (1e-3, -2.0)):
-            c, weights = ad.gaussian_attention(ad.constant(x), mask, ad.constant([w]),
-                                               ad.constant([b]))
-            c_ref, w_ref = reference_attention(x, mask, w, b)
+        for w_raw, b_raw in ((np.log(0.7), np.log(0.5)), (0.0, 0.0), (np.log(1e-3), np.log(2.0))):
+            c, weights = ad.gaussian_attention(ad.constant(x), mask, ad.constant([w_raw]),
+                                               ad.constant([b_raw]))
+            c_ref, w_ref = reference_attention(x, mask, np.exp(w_raw), -np.exp(b_raw))
             assert np.abs(c.values - c_ref).max() <= 1e-12
             assert np.abs(weights - w_ref).max() <= 1e-12
 
@@ -57,21 +58,44 @@ class TestGaussianAttentionOp:
         probe = ad.constant(rng.uniform(-1, 1, (T * B, 3)))
 
         def f():
-            c, _ = ad.gaussian_attention(x, mask, *attn.effective())
+            c, _ = ad.gaussian_attention(x, mask, attn.w_raw, attn.b_raw)
             return ad.sum_all(ad.mul(ad.tanh(c), probe))
 
         assert ad.grad_check(f, [x, attn.w_raw, attn.b_raw], 1e-5) <= 1e-6
 
     def test_kink_takes_sign_zero(self):
-        # w = 1, b = -1 puts w * d^2 + b exactly at 0 for neighbours, the only
-        # pairs with d^2 != 0, so nothing reaches w
+        # raw 0 gives w = 1, b = -1, which puts w * d^2 + b exactly at 0 for
+        # neighbours, the only pairs with d^2 != 0, so nothing reaches w_raw
         x = ad.parameter([[0.5, -1.0], [2.0, 0.3]])
-        w, b = ad.parameter([1.0]), ad.parameter([-1.0])
+        w_raw, b_raw = ad.parameter([0.0]), ad.parameter([0.0])
         with Tape():
-            c, _ = ad.gaussian_attention(x, np.ones((1, 2), dtype=bool), w, b)
+            c, _ = ad.gaussian_attention(x, np.ones((1, 2), dtype=bool), w_raw, b_raw)
             ad.backward(ad.sum_all(ad.mul(c, c)))
-        assert w.grad[0] == 0.0
-        assert b.grad[0] != 0.0
+        assert w_raw.grad[0] == 0.0
+        assert b_raw.grad[0] != 0.0
+
+    @pytest.mark.parametrize("B,T,mask", [
+        (3, 1, [[True], [False], [True]]),       # utterance 1 fully masked
+        (1, 3, [[True, True, False]]),           # a masked last token
+    ])
+    def test_backward_leaves_a_shared_adjoint_intact(self, B, T, mask):
+        # at T == 1 or B == 1 the batch-major view of the incoming adjoint is
+        # the adjoint itself; add hands that same array to tanh(z0), which is
+        # recorded first and so reads it after attention's backward ran
+        rng = Rng(5)
+        x = ad.parameter(rng.uniform(-1, 1, (T * B, 4)))
+        z0 = ad.parameter(rng.uniform(-1, 1, (T * B, 4)))
+        w = ad.parameter(rng.uniform(-1, 1, (3, 4)))
+        w_raw, b_raw = ad.parameter([0.2]), ad.parameter([-0.3])
+        ids = rng.integers(0, 3, T * B)
+        mask = np.array(mask)
+
+        def f():
+            t = ad.tanh(z0)
+            c, _ = ad.gaussian_attention(x, mask, w_raw, b_raw)
+            return ad.cross_entropy(ad.linear(ad.add(c, t), w), ids)
+
+        assert ad.grad_check(f, [x, z0, w, w_raw, b_raw], 1e-6) <= 1e-6
 
     def test_utterance_with_every_token_masked(self):
         rng = Rng(40)
@@ -101,8 +125,8 @@ class TestGaussianAttentionOp:
         rng = Rng(41)
         x = ad.constant(rng.uniform(-1, 1, (4, 3)))
         mask = np.array([True, True, True, False])
-        c, weights = enc.gaussian_self_attention(x, mask, ad.constant([1.0]),
-                                                 ad.constant([-0.5]))
+        c, weights = enc.gaussian_self_attention(x, mask, ad.constant([0.0]),
+                                                 ad.constant([np.log(0.5)]))
         c_ref, w_ref = reference_attention(x.values, mask[None, :], 1.0, -0.5)
         assert weights.shape == (4, 4)
         assert np.abs(weights - w_ref[0]).max() <= 1e-12

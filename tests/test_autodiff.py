@@ -271,11 +271,11 @@ class TestLeafGradients:
 
     def test_leaf_read_by_two_nodes(self):
         # add passes its incoming adjoint to p, and that adjoint is also h's;
-        # scale(p, 5) adds into p's gradient before h's node reads it
+        # p * 5 adds into p's gradient before h's node reads it
         p, q = param([1.0, 2.0]), param([0.5, 0.5])
         with Tape():
-            h = ad.scale(q, 3.0)
-            z = ad.scale(p, 5.0)
+            h = ad.mul(q, ad.constant([3.0, 3.0]))
+            z = ad.mul(p, ad.constant([5.0, 5.0]))
             y = ad.add(ad.add(ad.add(p, ad.constant([0.0, 0.0])), h), z)
             ad.backward(ad.sum_all(ad.mul(y, ad.constant([3.0, 5.0]))))
         assert np.array_equal(p.grad, [18.0, 30.0])
@@ -495,7 +495,6 @@ def test_every_op_grad_check_small_random():
             "sigmoid": lambda: ad.sum_all(ad.sigmoid(a)),
             "tanh": lambda: ad.sum_all(ad.tanh(a)),
             "softmax": lambda: ad.sum_all(ad.matmul(ad.matmul(ad.softmax(a, axis=1), c), w)),
-            "exp": lambda: ad.sum_all(ad.exp(a)),
             "cross_entropy": lambda: ad.cross_entropy(a, ids, weights),
         }
         for name, f in cases.items():

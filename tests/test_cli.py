@@ -338,8 +338,8 @@ class TestCorpusFuzz:
         err = stderr.getvalue()
         if code == 1:
             assert err.startswith("error: ") and err.count("\n") == 1, err
-            # a corpus error names the corpus; evaluate may also reject its labels
-            assert str(data) in err or (command == "evaluate" and "vocabulary mismatch" in err), err
+            # every corpus error names the corpus, an unknown label included
+            assert str(data) in err, err
             return
         # the garbage was a well-formed split: one sample per line of each file
         assert code == 0 and err == ""
@@ -414,7 +414,31 @@ class TestEvaluate:
             (d / "label").write_text("warp\n")
         assert run(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
                     "--data", str(other), "--split", "test"]) == 1
-        assert "mismatch" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {other / 'test' / 'seq.out'}:1: slot tag "
+                                           f"'B-galaxy' is not in the checkpoint's vocabulary\n")
+
+    @pytest.mark.parametrize("split,dirname", [("valid", "valid"), ("dev", "valid"),
+                                               ("test", "test")])
+    @pytest.mark.parametrize("kind", ["slot tag", "intent"])
+    def test_unknown_label_names_file_and_line(self, trained_dir, synth_dir, tmp_path,
+                                               capsys, split, dirname, kind):
+        out, _ = trained_dir
+        data = tmp_path / "corpus"
+        shutil.copytree(synth_dir, data)
+        name, label = ("seq.out", "B-zzz") if kind == "slot tag" else ("label", "zzz")
+        path = data / dirname / name
+        lines = path.read_text().split("\n")
+        if kind == "slot tag":
+            lines[2] = " ".join(lines[2].split()[:-1] + [label])
+        else:
+            lines[2] = label
+        path.write_text("\n".join(lines))
+        report = tmp_path / "report.txt"
+        assert run(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+                    "--data", str(data), "--split", split, "--out", str(report)]) == 1
+        assert capsys.readouterr().err == (f"error: {path}:3: {kind} '{label}' is not in "
+                                           f"the checkpoint's vocabulary\n")
+        assert not report.exists()
 
 
 class TestPredict:

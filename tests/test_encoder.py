@@ -149,10 +149,11 @@ class TestGaussianAttention:
         assert np.array_equal(c.values, x.values)
 
     def test_hand_fixture(self):
-        # scores for the first query are [-|0| + 1, -|1| + 0] = [1, -1]
+        # raw 0 and -inf give w = 1 and b = -0.0, so the scores for the first
+        # query are [-|0| + 1, -|1| + 0] = [1, -1]
         x = ad.constant([[1.0, 0.0], [0.0, 1.0]])
         c, w = enc.gaussian_self_attention(x, np.ones(2, dtype=bool),
-                                           ad.constant([1.0]), ad.constant([0.0]))
+                                           ad.constant([0.0]), ad.constant([-np.inf]))
         assert np.allclose(w[0], [0.88080, 0.11920], atol=1e-4)
         expected = 0.8808 * x.values[0] + 0.1192 * x.values[1]
         assert np.allclose(c.values[0], expected, atol=1e-4)
@@ -161,8 +162,8 @@ class TestGaussianAttention:
         rng = Rng(8)
         xv = rng.uniform(-1, 1, (4, 3))
         x = ad.constant(xv)
-        tiny_w, tiny_b = ad.constant([1e-18]), ad.constant([-1e-18])
-        c, _ = enc.gaussian_self_attention(x, np.ones(4, dtype=bool), tiny_w, tiny_b)
+        tiny = ad.constant([np.log(1e-18)])     # w = 1e-18, b = -1e-18
+        c, _ = enc.gaussian_self_attention(x, np.ones(4, dtype=bool), tiny, tiny)
         scores = xv @ xv.T
         weights = np.exp(scores - scores.max(axis=1, keepdims=True))
         weights /= weights.sum(axis=1, keepdims=True)
@@ -177,13 +178,34 @@ class TestGaussianAttention:
         assert np.array_equal(w[:, ~mask], np.zeros((5, 2)))
 
     def test_reparameterization_signs(self):
+        # with x = 0 the scores are the prior alone; the weights must be the
+        # softmax of -|exp(w_raw) * d^2 - exp(b_raw)| for any raw values
         p = enc.init_gaussian_attention(Rng(0))
-        for raw in (-50.0, -1.0, 0.0, 3.0, 50.0):
-            p.w_raw.values[:] = raw
-            p.b_raw.values[:] = raw
-            w_eff, b_eff = p.effective()
-            assert w_eff.values[0] > 0.0
-            assert b_eff.values[0] < 0.0
+        x = ad.constant(np.zeros((4, 2)))
+        mask = np.ones(4, dtype=bool)
+        d2 = (np.arange(4)[:, None] - np.arange(4)[None, :]) ** 2.0
+        raws = (-50.0, -1.0, 0.0, 3.0, 50.0)
+        for w_raw in raws:
+            for b_raw in raws:
+                p.w_raw.values[:] = w_raw
+                p.b_raw.values[:] = b_raw
+                _, weights = enc.gaussian_self_attention(x, mask, p.w_raw, p.b_raw)
+                prior = -np.abs(np.exp(w_raw) * d2 - np.exp(b_raw))
+                e = np.exp(prior - prior.max(axis=1, keepdims=True))
+                assert np.abs(weights - e / e.sum(axis=1, keepdims=True)).max() <= 1e-12
+
+        rng = Rng(1)
+        x = ad.parameter(rng.uniform(-1, 1, (4, 2)))
+        probe = ad.constant(rng.uniform(-1, 1, (4, 2)))
+        for w_raw, b_raw in ((-1.0, 0.0), (0.5, 1.2)):
+            p.w_raw.values[:] = w_raw
+            p.b_raw.values[:] = b_raw
+
+            def f():
+                c, _ = enc.gaussian_self_attention(x, mask, p.w_raw, p.b_raw)
+                return ad.sum_all(ad.mul(ad.tanh(c), probe))
+
+            assert ad.grad_check(f, [p.w_raw, p.b_raw], 1e-6) <= 1e-6
 
 
 class TestEncodeBatch:
@@ -240,7 +262,8 @@ class TestEncodeBatch:
         out = enc.encode_batch(ids, mask, table, fwd, bwd, attn)
         # one utterance: time-major rows are its tokens in order
         h = enc.encode_batch(ids, mask, table, fwd, bwd, None)
-        c, _ = enc.gaussian_self_attention(enc.embed(ids, table), mask[0], *attn.effective())
+        c, _ = enc.gaussian_self_attention(enc.embed(ids, table), mask[0], attn.w_raw,
+                                           attn.b_raw)
         assert out.shape == (3, 10)
         assert np.array_equal(out.values, np.hstack([h.values, c.values]))
 
@@ -258,7 +281,7 @@ class TestEncodeBatch:
         keep = (Rng(16).random((B * T, 5)) >= rate) / (1.0 - rate)
         dropped = table.table.values[ids.reshape(-1)] * keep
         x = ad.constant(dropped[np.arange(B * T).reshape(B, T).T.reshape(-1)])
-        c, _ = enc.gaussian_self_attention(x, mask, *attn.effective())
+        c, _ = enc.gaussian_self_attention(x, mask, attn.w_raw, attn.b_raw)
         h_fwd = ad.lstm_scan(x, fwd.w_x, fwd.w_h, fwd.b, T, mask=mask)
         h_bwd = ad.lstm_scan(x, bwd.w_x, bwd.w_h, bwd.b, T, mask=mask, reverse=True)
         assert np.array_equal(out.values, np.hstack([h_fwd.values, h_bwd.values, c.values]))

@@ -209,7 +209,7 @@ class TestLstmScanShapes:
         p = inter.init_decoder(3 + 4, 5, 3, rng)
         p.proj.values[:2, 0] = [np.inf, -np.inf]
         with Tape() as tape, np.errstate(invalid="ignore"):
-            x = ad.scale(e, 1.0)
+            x = ad.mul(e, ad.constant(np.ones((2, 4))))
             h, y = inter.decode(x, 1, p)
         assert np.isfinite(h.values).all() and np.isnan(y.values).all()
         assert tape.first_nonfinite_node() is tape.nodes[1]

@@ -219,7 +219,10 @@ class TestForward:
             result = model.forward(batch, training=True, tf_rate=0.9, tf_rng=Rng(0),
                                    dropout_rate=0.1, dropout_rng=Rng(1))
             tr.batch_loss(result, batch, 0.5)
-        assert len(tape.nodes) <= 37
+        assert len(tape.nodes) <= 32
+        # the locality reparametrization runs inside gaussian_attention and
+        # lambda rides in the cross-entropy weights: no scalar glue nodes
+        assert sum(n.name in ("exp", "scale") for n in tape.nodes) == 0
         # one embedding gather; the encoder's features and the two rational
         # decoders' inputs are the concats; dropout is a mul by a constant mask
         assert sum(n.name == "take_rows" for n in tape.nodes) == 1

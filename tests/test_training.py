@@ -15,7 +15,7 @@ from jointslu import data as dat
 from jointslu import metrics as met
 from jointslu import training as tr
 from jointslu.autodiff import Rng, Tape
-from jointslu.model import AblationFlags, ModelDims, build_model
+from jointslu.model import AblationFlags, ForwardResult, ModelDims, build_model
 from jointslu.training import Adam, TrainConfig, TrainingDiverged
 
 
@@ -94,23 +94,79 @@ def test_saturated_heads_give_finite_loss_and_gradients(tiny_corpus):
         assert np.all(np.isfinite(p.grad)), name
 
 
+def forward_result(slot_rows, intent_rows):
+    """A one-utterance ForwardResult over the given logit rows, and its batch:
+    gold slot 0 at every step and gold intent 0."""
+    T = len(slot_rows)
+    batch = dat.UtteranceBatch(token_ids=np.zeros((1, T), dtype=np.int64),
+                               lengths=np.array([T]), slot_ids=np.zeros((1, T), dtype=np.int64),
+                               intent_ids=np.array([0]), mask=np.ones((1, T), dtype=bool))
+    result = ForwardResult(z_slot=ad.constant(slot_rows), z_intent=ad.constant([intent_rows]),
+                           mask=batch.mask)
+    return result, batch
+
+
 class TestJointLoss:
+    SLOT, INTENT = [[0.3, -1.0, 2.0], [1.5, 0.0, -0.5]], [-0.2, 1.1]
+
+    def parts(self):
+        result, batch = forward_result(self.SLOT, self.INTENT)
+        return (result, batch, tr.slot_loss(result.z_slot, batch.slot_ids, batch.mask).item(),
+                tr.intent_loss(result.z_intent, batch.intent_ids).item())
+
     def test_lambda_extremes(self):
-        s, i = ad.constant([2.0]), ad.constant([4.0])
-        assert tr.joint_loss(s, i, 1.0).item() == 2.0
-        assert tr.joint_loss(s, i, 0.0).item() == 4.0
+        result, batch, l_slot, l_intent = self.parts()
+        assert tr.batch_loss(result, batch, 1.0).item() == l_slot
+        assert tr.batch_loss(result, batch, 0.0).item() == l_intent
 
     def test_midpoint(self):
-        assert tr.joint_loss(ad.constant([2.0]), ad.constant([4.0]), 0.5).item() == 3.0
+        result, batch, l_slot, l_intent = self.parts()
+        assert tr.batch_loss(result, batch, 0.5).item() == 0.5 * l_slot + 0.5 * l_intent
 
     def test_monotone_in_components(self):
-        base = tr.joint_loss(ad.constant([2.0]), ad.constant([4.0]), 0.3).item()
-        assert tr.joint_loss(ad.constant([2.5]), ad.constant([4.0]), 0.3).item() > base
-        assert tr.joint_loss(ad.constant([2.0]), ad.constant([4.5]), 0.3).item() > base
+        base = tr.batch_loss(*forward_result(self.SLOT, self.INTENT), 0.3).item()
+        worse_slot = [[0.0, -1.0, 2.0], self.SLOT[1]]       # gold slot 0 less likely
+        worse_intent = [-0.5, 1.1]                           # gold intent 0 less likely
+        assert tr.batch_loss(*forward_result(worse_slot, self.INTENT), 0.3).item() > base
+        assert tr.batch_loss(*forward_result(self.SLOT, worse_intent), 0.3).item() > base
 
     def test_invalid_lambda(self):
-        with pytest.raises(ValueError):
-            tr.joint_loss(ad.constant([1.0]), ad.constant([1.0]), 1.5)
+        for lam in (1.5, -0.1):
+            with pytest.raises(ValueError, match="lambda must be in"):
+                tr.batch_loss(*forward_result(self.SLOT, self.INTENT), lam)
+
+    @pytest.mark.parametrize("lam", [0.3, 0.5])
+    def test_gradients_equal_the_scaled_sum(self, tiny_corpus, lam):
+        # lambda rides in the cross-entropy weights; the gradients must equal
+        # those of lambda * slot + (1 - lambda) * intent built from muls by
+        # constants, bit for bit, and the loss may round differently only
+        # when lambda or 1 - lambda is not a power of two
+        corpus, vocab = tiny_corpus
+        model = tiny_model(vocab)
+        batch = dat.pad_batch(corpus.train, vocab)
+
+        def grads(loss_of):
+            model.zero_grad()
+            with Tape():
+                result = model.forward(batch)
+                loss = loss_of(result)
+                ad.backward(loss)
+            return loss.item(), {name: p.grad.copy() for name, p in model.parameters()}
+
+        def scaled_sum(result):
+            return ad.add(
+                ad.mul(tr.slot_loss(result.z_slot, batch.slot_ids, batch.mask),
+                       ad.constant([lam])),
+                ad.mul(tr.intent_loss(result.z_intent, batch.intent_ids),
+                       ad.constant([1.0 - lam])))
+
+        loss, got = grads(lambda result: tr.batch_loss(result, batch, lam))
+        want_loss, want = grads(scaled_sum)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+        if lam == 0.5:
+            assert loss == want_loss
+        assert abs(loss - want_loss) <= 1e-15 * abs(want_loss)
 
 
 class TestAdam:

@@ -13,8 +13,11 @@ gradient (inactive ones included), the loss of every step, and three reports
 after the last step: dev and test from the trained model, and dev again from
 the model that a ``save_checkpoint`` / ``load_checkpoint`` round trip serves.
 Sizes: emb 32 / hidden 48 for 30 Adam steps, and emb 512 / hidden 256 for 2.
-Flag sets: the defaults and each ablation switch alone. Every run trains with
-dropout 0.4 and teacher forcing 0.9 on the default synthetic corpus.
+Flag sets: the defaults and each ablation switch alone, at lambda 0.5. One
+more run, keyed ``small/lambda_0.3/``, trains the small defaults at lambda 0.3:
+0.3 and 0.7 are not powers of two, so a change in how the loss applies lambda
+shows there. Every run trains with dropout 0.4 and teacher forcing 0.9 on the
+default synthetic corpus.
 
 With ``--against`` it reads both files instead, prints each key that differs
 with its relative difference (max |a - b| over the larger of max |a| and
@@ -38,14 +41,18 @@ from jointslu.model import ModelDims, build_model
 SIZES = {"small": (32, 48, 0.004, 30), "paper": (512, 256, 0.001, 2)}
 FLAG_SETS = ["default", "no_slot2intent", "no_intent2slot", "no_gaussian_attention",
              "no_cooperation"]
+# (size, flag set, lambda, key prefix) of every recorded run
+RUNS = ([(size, flag_set, 0.5, f"{size}/{flag_set}/") for size in SIZES for flag_set in FLAG_SETS]
+        + [("small", "default", 0.3, "small/lambda_0.3/")])
 SEED = 1
 
 
-def record_run(corpus: dat.Corpus, vocab: dat.Vocab, size: str, flag_set: str) -> dict:
+def record_run(corpus: dat.Corpus, vocab: dat.Vocab, size: str, flag_set: str,
+               lam: float, prefix: str) -> dict:
     emb, hidden, lr, steps = SIZES[size]
     switches = {} if flag_set == "default" else {flag_set: True}
     cfg = tr.TrainConfig(learning_rate=lr, dropout_rate=0.4, teacher_forcing_rate=0.9,
-                         seed=SEED, **switches)
+                         loss_lambda=lam, seed=SEED, **switches)
     dims = ModelDims(vocab_size=vocab.n_words, emb_dim=emb, hidden=hidden,
                      n_slots=vocab.n_slots, n_intents=vocab.n_intents)
     init_rng, shuffle_rng, tf_rng, dropout_rng = tr.derive_streams(SEED)
@@ -53,7 +60,6 @@ def record_run(corpus: dat.Corpus, vocab: dat.Vocab, size: str, flag_set: str) -
     optimizer = tr.Adam(model.parameters(), lr=cfg.learning_rate, l2_decay=cfg.l2_decay,
                         frozen_rows=[(model.embedding.table, model.embedding.pad_id)])
     order = shuffle_rng.permutation(len(corpus.train))
-    prefix = f"{size}/{flag_set}/"
     out, losses = {}, []
     for step in range(steps):
         rows = order[step * cfg.batch_size: (step + 1) * cfg.batch_size]
@@ -90,9 +96,8 @@ def record(path: str) -> None:
     corpus = dat.generate_synthetic(dat.SynthSpec())
     vocab = dat.build_vocabs(corpus)
     arrays = {}
-    for size in SIZES:
-        for flag_set in FLAG_SETS:
-            arrays.update(record_run(corpus, vocab, size, flag_set))
+    for run in RUNS:
+        arrays.update(record_run(corpus, vocab, *run))
     np.savez(path, **arrays)
 
 
