@@ -17,8 +17,8 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "Rng", "ShapeError",
     "constant", "parameter", "uniform_parameter",
-    "matmul", "linear", "add", "sub", "mul",
-    "concat", "sigmoid", "tanh", "softmax", "sum_all",
+    "matmul", "linear", "add", "mul",
+    "concat", "sigmoid", "tanh", "softmax", "blend",
     "take_rows", "slice_cols", "cross_entropy",
     "lstm_scan", "gaussian_attention", "backward", "grad_check",
 ]
@@ -250,15 +250,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record("add", a.values + b.values, (a, b), bk)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-
-    def bk(g):
-        return g, -g
-
-    return _record("sub", a.values - b.values, (a, b), bk)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     av, bv = a.values, b.values
@@ -305,25 +296,36 @@ def tanh(x: Tensor) -> Tensor:
     return _record("tanh", out, (x,), bk)
 
 
-def softmax(x: Tensor, axis: int) -> Tensor:
-    xv = x.values
-    shifted = xv - xv.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+def _softmax(xv: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(xv - xv.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
-    def bk(g, y=out):
-        return ((g - (g * y).sum(axis=axis, keepdims=True)) * y,)
+
+def _softmax_vjp(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    return (g - (g * y).sum(axis=axis, keepdims=True)) * y
+
+
+def softmax(x: Tensor, axis: int) -> Tensor:
+    out = _softmax(x.values, axis)
+
+    def bk(g):
+        return (_softmax_vjp(g, out, axis),)
 
     return _record("softmax", out, (x,), bk)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    shape = x.values.shape
+def blend(rational: Tensor, intuitive: Tensor, logits: Tensor) -> Tensor:
+    """``intuitive + r * (rational - intuitive)``, ``r`` the row softmax of ``logits``."""
+    _same_shape(rational, intuitive, "blend")
+    _same_shape(rational, logits, "blend")
+    r = _softmax(logits.values, 1)
+    diff = rational.values - intuitive.values
 
     def bk(g):
-        return (np.full(shape, g.reshape(-1)[0]),)
+        gr = g * r
+        return gr, g - gr, _softmax_vjp(g * diff, r, 1)
 
-    return _record("sum_all", np.array([x.values.sum()]), (x,), bk)
+    return _record("blend", intuitive.values + r * diff, (rational, intuitive, logits), bk)
 
 
 def take_rows(x: Tensor, indices: np.ndarray) -> Tensor:

@@ -137,7 +137,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         for rec in result.history:
             f.write(f"epoch = {rec.epoch}\ntrain_loss = {rec.train_loss!r}\n"
                     + rec.dev_report.to_text() + "\n")
-    dev_report = tr.evaluate_model(model, corpus.dev, vocab, cfg.batch_size)
+    dev_report = result.history[result.best_epoch - 1].dev_report    # of the reloaded weights
     test_report = tr.evaluate_model(model, corpus.test, vocab, cfg.batch_size)
     with open(out_file("dev_metrics.txt"), "w", encoding="utf-8") as f:
         f.write(dev_report.to_text())

@@ -1,9 +1,9 @@
 """Cooperation gate: blends intuitive and rational features, then predicts.
 
-A small MLP over the rational feature produces a softmax score vector r across
-feature coordinates, and each coordinate fuses as ``h_i + r * (h_r - h_i)``
-(h_i intuitive, h_r rational). Slot features stay per-token; intent features
-are summed over the utterance's real tokens before classification.
+A small MLP over the rational feature gives logits z over feature coordinates, and
+each coordinate fuses as ``h_i + r * (h_r - h_i)`` with ``r = softmax(z)`` (h_i
+intuitive, h_r rational), in one ``ad.blend`` node. Slot features stay per-token;
+intent features are summed over the utterance's real tokens before classification.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Rng, ShapeError, Tensor
+from .autodiff import Rng, Tensor
 
 
 @dataclass
@@ -36,17 +36,14 @@ def init_mlp(width: int, rng: Rng | None) -> MlpParams:
 
 
 def gate(h_rational: Tensor, p: MlpParams) -> Tensor:
-    """Softmax score vector over feature coordinates, entries in (0, 1)."""
+    """Logits over feature coordinates; ``fuse`` applies their row softmax."""
     hidden = ad.tanh(ad.linear(h_rational, p.w1, p.b1))
-    return ad.softmax(ad.linear(hidden, p.w2, p.b2), axis=1)
+    return ad.linear(hidden, p.w2, p.b2)
 
 
-def fuse(h_rational: Tensor, h_intuitive: Tensor, r: Tensor) -> Tensor:
-    """Per-coordinate convex blend intuitive + r * (rational - intuitive)."""
-    if h_rational.shape != h_intuitive.shape or h_rational.shape != r.shape:
-        raise ShapeError(f"fuse needs equal widths, got {h_rational.shape}, "
-                         f"{h_intuitive.shape}, {r.shape}")
-    return ad.add(h_intuitive, ad.mul(r, ad.sub(h_rational, h_intuitive)))
+def fuse(h_rational: Tensor, h_intuitive: Tensor, logits: Tensor) -> Tensor:
+    """Per-coordinate convex blend under the row softmax of the gate ``logits``."""
+    return ad.blend(h_rational, h_intuitive, logits)
 
 
 # perfbench/tracer.py looks this name up; the model calls ``fuse`` for both tasks

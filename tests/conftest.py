@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from jointslu import autodiff as ad
 from jointslu import data as dat
-from jointslu.autodiff import Rng
+from jointslu.autodiff import Rng, Tape
 from jointslu.model import AblationFlags, ModelDims, build_model
 
 OVERFIT_SAMPLES = [
@@ -15,6 +16,31 @@ OVERFIT_SAMPLES = [
     dat.Sample(["add", "milk", "to", "my", "list"],
                ["O", "B-item", "O", "O", "O"], "todo"),
 ]
+
+
+def sum_all(x: ad.Tensor) -> ad.Tensor:
+    """The sum of every entry, as a one-element tensor recorded on the tape: a
+    test-only reduction that turns any output into a scalar loss."""
+    shape = x.values.shape
+
+    def bk(g):
+        return (np.full(shape, g.reshape(-1)[0]),)
+
+    return ad._record("sum_all", np.array([x.values.sum()]), (x,), bk)
+
+
+def grads_of(loss_fn, params):
+    """The loss and a copy of each parameter's gradient after one backward."""
+    for q in params:
+        q.zero_grad()
+    with Tape():
+        loss = loss_fn()
+        ad.backward(loss)
+    return loss.item(), [q.grad.copy() for q in params]
+
+
+def assert_close(a, b):
+    assert a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= 1e-12
 
 
 def overfit_corpus() -> dat.Corpus:

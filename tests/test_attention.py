@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import sum_all
+
 from jointslu import autodiff as ad
 from jointslu import encoder as enc
 from jointslu.autodiff import Rng, ShapeError, Tape
@@ -59,7 +61,7 @@ class TestGaussianAttentionOp:
 
         def f():
             c, _ = ad.gaussian_attention(x, mask, attn.w_raw, attn.b_raw)
-            return ad.sum_all(ad.mul(ad.tanh(c), probe))
+            return sum_all(ad.mul(ad.tanh(c), probe))
 
         assert ad.grad_check(f, [x, attn.w_raw, attn.b_raw], 1e-5) <= 1e-6
 
@@ -70,7 +72,7 @@ class TestGaussianAttentionOp:
         w_raw, b_raw = ad.parameter([0.0]), ad.parameter([0.0])
         with Tape():
             c, _ = ad.gaussian_attention(x, np.ones((1, 2), dtype=bool), w_raw, b_raw)
-            ad.backward(ad.sum_all(ad.mul(c, c)))
+            ad.backward(sum_all(ad.mul(c, c)))
         assert w_raw.grad[0] == 0.0
         assert b_raw.grad[0] != 0.0
 
@@ -103,7 +105,7 @@ class TestGaussianAttentionOp:
         mask = np.array([[True, True, False], [False, False, False]])
         with Tape():
             c, weights = ad.gaussian_attention(x, mask, ad.constant([1.0]), ad.constant([-0.5]))
-            ad.backward(ad.sum_all(c))
+            ad.backward(sum_all(c))
         assert np.array_equal(weights[1], np.zeros((3, 3)))
         assert np.array_equal(c.values.reshape(3, 2, 4)[:, 1], np.zeros((3, 4)))
         assert np.array_equal(x.grad.reshape(3, 2, 4)[:, 1], np.zeros((3, 4)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import tiny_model
+from conftest import sum_all, tiny_model
 
 from jointslu import autodiff as ad
 from jointslu import data as dat
@@ -54,10 +54,10 @@ class TestMatmul:
         a = rand_param(rng, (3, 4))
         b = ad.constant(rng.uniform(-1, 1, (4, 2)))
         with Tape():
-            ad.backward(ad.sum_all(ad.matmul(a, b)))
+            ad.backward(sum_all(ad.matmul(a, b)))
         expected = np.tile(b.values.sum(axis=1), (3, 1))
         assert np.allclose(a.grad, expected)
-        err = ad.grad_check(lambda: ad.sum_all(ad.matmul(a, b)), [a], 1e-5)
+        err = ad.grad_check(lambda: sum_all(ad.matmul(a, b)), [a], 1e-5)
         assert err <= 1e-6
 
 
@@ -78,7 +78,7 @@ class TestElementwise:
         rng = Rng(1)
         a = rand_param(rng, (3, 3))
         b = rand_param(rng, (3, 3))
-        err = ad.grad_check(lambda: ad.sum_all(ad.mul(a, b)), [a, b], 1e-5)
+        err = ad.grad_check(lambda: sum_all(ad.mul(a, b)), [a, b], 1e-5)
         assert err <= 1e-6
 
 
@@ -103,7 +103,7 @@ class TestConcat:
         w = ad.constant(rng.uniform(-1, 1, (5, 1)))
 
         def f():
-            return ad.sum_all(ad.matmul(ad.concat([a, b], axis=1), w))
+            return sum_all(ad.matmul(ad.concat([a, b], axis=1), w))
 
         assert ad.grad_check(f, [a, b], 1e-5) <= 1e-6
 
@@ -118,7 +118,7 @@ class TestActivations:
     @pytest.mark.parametrize("kind", ["sigmoid", "tanh"])
     def test_gradient(self, kind):
         x = rand_param(Rng(3), (5,), -2, 2)
-        err = ad.grad_check(lambda: ad.sum_all(getattr(ad, kind)(x)), [x], 1e-5)
+        err = ad.grad_check(lambda: sum_all(getattr(ad, kind)(x)), [x], 1e-5)
         assert err <= 1e-6
 
 
@@ -149,9 +149,71 @@ class TestSoftmax:
         w = ad.constant(rng.uniform(-1, 1, (4, 1)))
 
         def f():
-            return ad.sum_all(ad.matmul(ad.softmax(x, axis=1), w))
+            return sum_all(ad.matmul(ad.softmax(x, axis=1), w))
 
         assert ad.grad_check(f, [x], 1e-5) <= 1e-6
+
+
+def composed_blend(rational, intuitive, logits):
+    """``ad.blend`` as primitive ops, recorded in the order the cooperation
+    layer used to record them; ``a - b`` is ``a + b * -1``, which is exact."""
+    r = ad.softmax(logits, axis=1)
+    minus_one = ad.constant(np.full(intuitive.shape, -1.0))
+    return ad.add(intuitive, ad.mul(r, ad.add(rational, ad.mul(intuitive, minus_one))))
+
+
+class TestBlend:
+    @pytest.mark.parametrize("recorded_inputs", [False, True])
+    @pytest.mark.parametrize("logits_from_rational", [False, True])
+    def test_matches_composition_bit_for_bit(self, recorded_inputs, logits_from_rational):
+        # with the logits a linear of the rational input, that input's adjoint
+        # sums the blend's contribution and the linear's, in that order
+        rng = Rng(40)
+        x_r, x_i = rand_param(rng, (5, 4), -2, 2), rand_param(rng, (5, 4), -2, 2)
+        z, w, b = rand_param(rng, (5, 4), -3, 3), rand_param(rng, (4, 4)), rand_param(rng, (4,))
+        probe = ad.constant(rng.uniform(-1, 1, (5, 4)))
+        leaves = [x_r, x_i, z, w, b]
+
+        def run(op):
+            for p in leaves:
+                p.zero_grad()
+            with Tape():
+                rational, intuitive = ((ad.tanh(x_r), ad.tanh(x_i)) if recorded_inputs
+                                       else (x_r, x_i))
+                logits = ad.linear(rational, w, b) if logits_from_rational else z
+                out = op(rational, intuitive, logits)
+                ad.backward(sum_all(ad.mul(out, probe)))
+            return [out.values] + [p.grad.copy() for p in leaves]
+
+        for got, want in zip(run(ad.blend), run(composed_blend)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e4, -1e4])
+    def test_grad_check_at_random_shapes(self, shift):
+        for trial in range(5):
+            rng = Rng(50 + trial)
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+            rational, intuitive = rand_param(rng, (n, m), -2, 2), rand_param(rng, (n, m), -2, 2)
+            z = param(rng.uniform(-3, 3, (n, m)) + shift)
+            probe = ad.constant(rng.uniform(-1, 1, (n, m)))
+
+            def f():
+                return sum_all(ad.mul(ad.blend(rational, intuitive, z), probe))
+
+            assert ad.grad_check(f, [rational, intuitive, z], 1e-5) <= 1e-6
+
+    def test_one_node(self):
+        a = rand_param(Rng(41), (2, 3))
+        with Tape() as tape:
+            ad.blend(a, a, a)
+        assert [n.name for n in tape.nodes] == ["blend"]
+
+    def test_shape_errors(self):
+        a = ad.constant(np.ones((2, 3)))
+        with pytest.raises(ShapeError):
+            ad.blend(a, ad.constant(np.ones((2, 2))), a)
+        with pytest.raises(ShapeError):
+            ad.blend(a, a, ad.constant(np.ones((3, 2))))
 
 
 def encode_with_dropout(rate, rng, tokens=4, emb=3):
@@ -211,7 +273,7 @@ class TestBackward:
 
     def test_sigmoid_sum_matches_fd(self):
         x = rand_param(Rng(7), (6,), -2, 2)
-        err = ad.grad_check(lambda: ad.sum_all(ad.sigmoid(x)), [x], 1e-5)
+        err = ad.grad_check(lambda: sum_all(ad.sigmoid(x)), [x], 1e-5)
         assert err <= 1e-5
 
     def test_two_calls_accumulate(self):
@@ -252,20 +314,20 @@ class TestLeafGradients:
         x = param([1.0, 2.0])
         with Tape():
             y = ad.mul(x, x)
-            ad.backward(ad.sum_all(y))
+            ad.backward(sum_all(y))
         assert np.array_equal(x.grad, [2.0, 4.0])
         assert not y.grad.any()
 
     def test_add_same_leaf_twice(self):
         p = param([1.0, 2.0])
         with Tape():
-            ad.backward(ad.sum_all(ad.mul(ad.add(p, p), ad.constant([3.0, 5.0]))))
+            ad.backward(sum_all(ad.mul(ad.add(p, p), ad.constant([3.0, 5.0]))))
         assert np.array_equal(p.grad, [6.0, 10.0])
 
     def test_add_two_leaves_do_not_share(self):
         p, q = param([1.0, 2.0]), param([3.0, 4.0])
         with Tape():
-            ad.backward(ad.sum_all(ad.mul(ad.add(p, q), ad.constant([3.0, 5.0]))))
+            ad.backward(sum_all(ad.mul(ad.add(p, q), ad.constant([3.0, 5.0]))))
         p.grad[:] += 100.0
         assert np.array_equal(q.grad, [3.0, 5.0])
 
@@ -277,7 +339,7 @@ class TestLeafGradients:
             h = ad.mul(q, ad.constant([3.0, 3.0]))
             z = ad.mul(p, ad.constant([5.0, 5.0]))
             y = ad.add(ad.add(ad.add(p, ad.constant([0.0, 0.0])), h), z)
-            ad.backward(ad.sum_all(ad.mul(y, ad.constant([3.0, 5.0]))))
+            ad.backward(sum_all(ad.mul(y, ad.constant([3.0, 5.0]))))
         assert np.array_equal(p.grad, [18.0, 30.0])
         assert np.array_equal(q.grad, [9.0, 15.0])
 
@@ -285,7 +347,7 @@ class TestLeafGradients:
         p, q = param([[1.0, 2.0]]), param([[3.0]])
         with Tape():
             c = ad.concat([p, q], axis=1)
-            ad.backward(ad.sum_all(ad.mul(c, ad.constant([[3.0, 5.0, 7.0]]))))
+            ad.backward(sum_all(ad.mul(c, ad.constant([[3.0, 5.0, 7.0]]))))
         assert np.array_equal(p.grad, [[3.0, 5.0]])
         assert np.array_equal(q.grad, [[7.0]])
         assert p.grad.flags.owndata and q.grad.flags.owndata
@@ -295,7 +357,7 @@ class TestLeafGradients:
         with Tape():
             both = ad._record("pair", p.values + q.values, (p, q),
                               lambda g: (lambda d: (d, d))(g * 2.0))
-            ad.backward(ad.sum_all(both))
+            ad.backward(sum_all(both))
         p.grad[:] = 7.0
         assert np.array_equal(q.grad, [2.0])
 
@@ -312,7 +374,7 @@ class TestLeafGradients:
         with Tape() as tape:
             a, b = ad._record("split", (p.values * 2.0, p.values * 3.0), (p,), bk)
             assert len(tape.nodes) == 1 and tape.nodes[0].outs == (a, b)
-            ad.backward(ad.sum_all(b))
+            ad.backward(sum_all(b))
         (g_a, g_b), = received
         assert g_a is None and np.array_equal(g_b, [1.0, 1.0])
         assert p.grad is not g_b and not np.shares_memory(p.grad, g_b)
@@ -340,7 +402,7 @@ class TestGradCheck:
 
         def f():
             y = ad._record("nan_grad", x.values * 2.0, (x,), lambda g: (g * np.nan,))
-            return ad.sum_all(y)
+            return sum_all(y)
 
         assert np.isnan(ad.grad_check(f, [x]))
 
@@ -353,7 +415,7 @@ class TestGatherScatterOps:
         out = ad.take_rows(x, idx)
         assert np.array_equal(out.values, x.values[idx])
         with Tape():
-            ad.backward(ad.sum_all(ad.take_rows(x, idx)))
+            ad.backward(sum_all(ad.take_rows(x, idx)))
         expected = np.zeros((5, 3))
         expected[1] = 2.0
         expected[4] = 1.0
@@ -371,7 +433,7 @@ class TestGatherScatterOps:
         def f():
             a = ad.take_rows(x, np.arange(1, 3))
             b = ad.slice_cols(x, 2, 5)
-            return ad.add(ad.sum_all(a), ad.sum_all(ad.mul(b, col)))
+            return ad.add(sum_all(a), sum_all(ad.mul(b, col)))
 
         assert ad.grad_check(f, [x], 1e-5) <= 1e-6
 
@@ -424,7 +486,7 @@ class TestLinear:
         x = rand_param(rng, (3, 4))
         w = rand_param(rng, (2, 4))
         b = rand_param(rng, (2,))
-        assert ad.grad_check(lambda: ad.sum_all(ad.tanh(ad.linear(x, w, b))),
+        assert ad.grad_check(lambda: sum_all(ad.tanh(ad.linear(x, w, b))),
                              [x, w, b], 1e-5) <= 1e-6
 
 
@@ -435,7 +497,7 @@ class TestDeterminism:
         w = ad.constant(rng.uniform(-1, 1, (4, 4)))
 
         def run():
-            return ad.sum_all(ad.softmax(ad.matmul(ad.tanh(x), w), axis=1)).values.copy()
+            return sum_all(ad.softmax(ad.matmul(ad.tanh(x), w), axis=1)).values.copy()
 
         assert np.array_equal(run(), run())
 
@@ -447,7 +509,7 @@ class TestTape:
         b = rand_param(rng, (3, 3))
         with Tape() as tape:
             out = ad.softmax(ad.matmul(ad.add(a, b), ad.tanh(a)), axis=1)
-            ad.sum_all(out)
+            sum_all(out)
         assert tape.nodes
         for idx, node in enumerate(tape.nodes):
             assert node.out.tape_id == idx
@@ -487,14 +549,14 @@ def test_every_op_grad_check_small_random():
         ids = rng.integers(0, m, n)
         weights = rng.uniform(0, 2, n)
         cases = {
-            "matmul": lambda: ad.sum_all(ad.matmul(a, c)),
-            "add": lambda: ad.sum_all(ad.add(a, b)),
-            "sub": lambda: ad.sum_all(ad.sub(a, b)),
-            "mul": lambda: ad.sum_all(ad.mul(a, b)),
-            "concat": lambda: ad.sum_all(ad.concat([a, b], axis=0)),
-            "sigmoid": lambda: ad.sum_all(ad.sigmoid(a)),
-            "tanh": lambda: ad.sum_all(ad.tanh(a)),
-            "softmax": lambda: ad.sum_all(ad.matmul(ad.matmul(ad.softmax(a, axis=1), c), w)),
+            "matmul": lambda: sum_all(ad.matmul(a, c)),
+            "add": lambda: sum_all(ad.add(a, b)),
+            "mul": lambda: sum_all(ad.mul(a, b)),
+            "concat": lambda: sum_all(ad.concat([a, b], axis=0)),
+            "sigmoid": lambda: sum_all(ad.sigmoid(a)),
+            "tanh": lambda: sum_all(ad.tanh(a)),
+            "softmax": lambda: sum_all(ad.matmul(ad.matmul(ad.softmax(a, axis=1), c), w)),
+            "blend": lambda: sum_all(ad.mul(ad.blend(a, b, ad.tanh(b)), b)),
             "cross_entropy": lambda: ad.cross_entropy(a, ids, weights),
         }
         for name, f in cases.items():

@@ -89,6 +89,23 @@ class TestTrain:
         for name in ("history.txt", "dev_metrics.txt", "test_metrics.txt"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
+    def test_dev_metrics_are_the_best_epochs_report(self, trained_dir, synth_dir, tmp_path):
+        # train reloads the best epoch's weights, so dev_metrics.txt is that
+        # epoch's block of history.txt, and evaluating the checkpoint agrees
+        out, _ = trained_dir
+        blocks = [b.split("\n", 2) for b in (out / "history.txt").read_text().split("\n\n") if b]
+        assert [b[0] for b in blocks] == [f"epoch = {i + 1}" for i in range(len(blocks))]
+        reports = [b[2] + "\n" for b in blocks]
+        accuracy = [float(r.split("sentence_accuracy = ")[1].split("\n")[0]) for r in reports]
+        best = accuracy.index(max(accuracy))
+        # the fixture's run ends on an epoch whose report differs from the best one
+        assert best < len(reports) - 1 and reports[best] != reports[-1]
+        assert (out / "dev_metrics.txt").read_text() == reports[best]
+        report = tmp_path / "dev.txt"
+        assert run(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+                    "--data", str(synth_dir), "--split", "dev", "--out", str(report)]) == 0
+        assert report.read_text() == reports[best]
+
     def test_resolved_config_persisted(self, trained_dir):
         out, _ = trained_dir
         text = (out / "resolved_config.txt").read_text()

@@ -1,27 +1,34 @@
 import numpy as np
 import pytest
 
+from conftest import sum_all
+
 from jointslu import autodiff as ad
 from jointslu import cooperation as coop
 from jointslu.autodiff import Rng, ShapeError
 
 
+def gate_scores(h_rational, p):
+    """The score vector r that ``fuse`` applies: the row softmax of the gate's logits."""
+    return ad.softmax(coop.gate(h_rational, p), axis=1)
+
+
 class TestGate:
     def test_width_one_is_always_one(self):
         p = coop.init_mlp(1, Rng(0))
-        r = coop.gate(ad.constant([[3.7]]), p)
+        r = gate_scores(ad.constant([[3.7]]), p)
         assert np.array_equal(r.values, [[1.0]])
 
     def test_equal_logits_give_uniform(self):
         p = coop.MlpParams(w1=ad.constant(np.zeros((4, 4))), b1=ad.constant(np.zeros(4)),
                            w2=ad.constant(np.zeros((4, 4))), b2=ad.constant(np.zeros(4)))
-        r = coop.gate(ad.constant(np.ones((2, 4))), p)
+        r = gate_scores(ad.constant(np.ones((2, 4))), p)
         assert np.allclose(r.values, 0.25)
 
     def test_entries_in_open_interval(self):
         rng = Rng(1)
         p = coop.init_mlp(5, rng)
-        r = coop.gate(ad.constant(rng.uniform(-2, 2, (3, 5))), p).values
+        r = gate_scores(ad.constant(rng.uniform(-2, 2, (3, 5))), p).values
         assert np.all((r > 0) & (r < 1))
         assert np.allclose(r.sum(axis=1), 1.0)
 
@@ -32,8 +39,7 @@ class TestGate:
         h_is = ad.parameter(rng.uniform(-1, 1, (2, 4)))
 
         def f():
-            r = coop.gate(h_rs, p)
-            return ad.sum_all(ad.tanh(coop.fuse(h_rs, h_is, r)))
+            return sum_all(ad.tanh(coop.fuse(h_rs, h_is, coop.gate(h_rs, p))))
 
         err = ad.grad_check(f, [h_rs, h_is, p.w1, p.b1, p.w2, p.b2], 1e-5)
         assert err <= 1e-5
@@ -49,22 +55,26 @@ class TestFuse:
     def test_blend_of_equals(self):
         rng = Rng(3)
         h = rng.uniform(-1, 1, (2, 4))
-        r = rng.uniform(0, 1, (2, 4))
-        out = coop.fuse(ad.constant(h), ad.constant(h), ad.constant(r))
+        z = rng.uniform(-1, 1, (2, 4))
+        out = coop.fuse(ad.constant(h), ad.constant(h), ad.constant(z))
         assert np.allclose(out.values, h, atol=1e-15)
 
     def test_matches_direct_arithmetic(self):
         rng = Rng(4)
         h_rs = rng.uniform(-1, 1, (1, 4))
         h_is = rng.uniform(-1, 1, (1, 4))
-        r = rng.uniform(0, 1, (1, 4))
-        out = coop.fuse(ad.constant(h_rs), ad.constant(h_is), ad.constant(r))
+        z = rng.uniform(-2, 2, (1, 4))
+        r = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        out = coop.fuse(ad.constant(h_rs), ad.constant(h_is), ad.constant(z))
         assert np.abs(out.values - (h_rs * r + h_is * (1 - r))).max() <= 1e-12
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
             coop.fuse(ad.constant(np.ones((1, 2))), ad.constant(np.ones((1, 3))),
-                           ad.constant(np.ones((1, 2))))
+                      ad.constant(np.ones((1, 2))))
+        with pytest.raises(ShapeError):
+            coop.fuse(ad.constant(np.ones((1, 2))), ad.constant(np.ones((1, 2))),
+                      ad.constant(np.ones((1, 3))))
 
     def test_convexity_bound(self):
         rng = Rng(5)
@@ -72,8 +82,7 @@ class TestFuse:
         for _ in range(50):
             h_rs = ad.constant(rng.uniform(-2, 2, (1, 4)))
             h_is = ad.constant(rng.uniform(-2, 2, (1, 4)))
-            r = coop.gate(h_rs, p)
-            out = coop.fuse(h_rs, h_is, r).values
+            out = coop.fuse(h_rs, h_is, coop.gate(h_rs, p)).values
             lo = np.minimum(h_rs.values, h_is.values)
             hi = np.maximum(h_rs.values, h_is.values)
             assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import sum_all
+
 from jointslu import autodiff as ad
 from jointslu import encoder as enc
 from jointslu.autodiff import Rng, ShapeError, Tape
@@ -42,7 +44,7 @@ class TestEmbedding:
         table = enc.init_embedding(6, 4, Rng(0))
         ids = np.array([2, 2, 5])
         with Tape():
-            ad.backward(ad.sum_all(enc.embed(ids, table)))
+            ad.backward(sum_all(enc.embed(ids, table)))
         expected = np.zeros((6, 4))
         expected[2] = 2.0
         expected[5] = 1.0
@@ -80,7 +82,7 @@ class TestLstmStep:
             c = ad.constant(np.zeros((1, 4)))
             for t in range(3):
                 h, c = enc.lstm_step(ad.take_rows(xs, [t]), h, c, p)
-            return ad.sum_all(h)
+            return sum_all(h)
 
         err = ad.grad_check(f, [xs, p.w_x, p.w_h, p.b], 1e-5)
         assert err <= 1e-5
@@ -135,7 +137,7 @@ class TestBilstm:
         mask = np.ones((1, 4), dtype=bool)
 
         def f():
-            return ad.sum_all(ad.tanh(encode_rows(xs, mask, fwd, bwd)))
+            return sum_all(ad.tanh(encode_rows(xs, mask, fwd, bwd)))
 
         err = ad.grad_check(f, [xs, fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b], 1e-5)
         assert err <= 1e-5
@@ -203,7 +205,7 @@ class TestGaussianAttention:
 
             def f():
                 c, _ = enc.gaussian_self_attention(x, mask, p.w_raw, p.b_raw)
-                return ad.sum_all(ad.mul(ad.tanh(c), probe))
+                return sum_all(ad.mul(ad.tanh(c), probe))
 
             assert ad.grad_check(f, [p.w_raw, p.b_raw], 1e-6) <= 1e-6
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_close, grads_of, sum_all
+
 from jointslu import autodiff as ad
 from jointslu import encoder as enc
 from jointslu import interaction as inter
@@ -52,18 +54,9 @@ def reference_decode(e, T, p, force=None, gold=None, opposite_y=None):
     return ad.concat(hs, axis=0), ad.concat(ys, axis=0), inputs
 
 
-def grads_of(loss_fn, params):
-    for q in params:
-        q.zero_grad()
-    with Tape():
-        loss = loss_fn()
-        ad.backward(loss)
-    return loss.item(), [q.grad.copy() for q in params]
-
-
 def read_loss(h, y, w_out, read):
     """Weighted sums of the decoder outputs named in ``read`` ("h" and/or "y")."""
-    terms = [ad.sum_all(ad.mul(out, w_out[name]))
+    terms = [sum_all(ad.mul(out, w_out[name]))
              for name, out in (("h", h), ("y", y)) if name in read]
     return terms[0] if len(terms) == 1 else ad.add(*terms)
 
@@ -94,7 +87,7 @@ class TestLstmScanGradcheck:
         for reverse in (False, True):
             def f():
                 H = ad.lstm_scan(x, p.w_x, p.w_h, p.b, T, mask=PADDED_MASK, reverse=reverse)
-                return ad.sum_all(ad.mul(ad.tanh(H), w_out))
+                return sum_all(ad.mul(ad.tanh(H), w_out))
 
             assert ad.grad_check(f, [x, p.w_x, p.w_h, p.b], 1e-5) <= 1e-5
 
@@ -109,8 +102,8 @@ class TestLstmScanGradcheck:
             x = ad.concat([y_op, e], axis=1)
             h, y = ad.lstm_scan(x, p.cell.w_x, p.cell.w_h, p.cell.b, 4, proj=p.proj,
                                 force=force, gold=gold)
-            return ad.add(ad.sum_all(ad.mul(ad.tanh(h), w_h_out)),
-                          ad.sum_all(ad.mul(ad.tanh(y), w_y_out)))
+            return ad.add(sum_all(ad.mul(ad.tanh(h), w_h_out)),
+                          sum_all(ad.mul(ad.tanh(y), w_y_out)))
 
         params = [e, y_op, p.cell.w_x, p.cell.w_h, p.cell.b, p.proj]
         assert ad.grad_check(f, params, 1e-5) <= 1e-5
@@ -128,9 +121,9 @@ class TestLstmScanOracle:
             fused = ad.lstm_scan(x, p.w_x, p.w_h, p.b, T, mask=PADDED_MASK, reverse=reverse)
             oracle = reference_scan(x, T, p, PADDED_MASK, reverse)
             assert np.abs(fused.values - oracle.values).max() <= 1e-12
-            _, g_fused = grads_of(lambda: ad.sum_all(ad.mul(ad.lstm_scan(
+            _, g_fused = grads_of(lambda: sum_all(ad.mul(ad.lstm_scan(
                 x, p.w_x, p.w_h, p.b, T, mask=PADDED_MASK, reverse=reverse), w_out)), params)
-            _, g_oracle = grads_of(lambda: ad.sum_all(ad.mul(
+            _, g_oracle = grads_of(lambda: sum_all(ad.mul(
                 reference_scan(x, T, p, PADDED_MASK, reverse), w_out)), params)
             for a, b in zip(g_fused, g_oracle):
                 assert np.abs(a - b).max() <= 1e-12
@@ -143,7 +136,7 @@ class TestLstmScanOracle:
         params = [e, y_op, p.cell.w_x, p.cell.w_h, p.cell.b, p.proj]
 
         def loss(h, y):
-            return ad.add(ad.sum_all(ad.mul(h, w_h_out)), ad.sum_all(ad.mul(y, w_y_out)))
+            return ad.add(sum_all(ad.mul(h, w_h_out)), sum_all(ad.mul(y, w_y_out)))
 
         def fused():
             return inter.decode(e, 4, p, opposite_y=y_op, force=force, gold=gold)
@@ -235,10 +228,6 @@ class TestLstmScanShapes:
                          mask=np.ones((4, 3), dtype=bool))
 
 
-def assert_close(a, b):
-    assert a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= 1e-12
-
-
 READS = [("h",), ("y",), ("h", "y")]
 
 
@@ -266,8 +255,8 @@ class TestLstmScanDifferential:
             return reference_scan(x, T, p, mask, reverse)
 
         assert_close(fused().values, oracle().values)
-        _, g_fused = grads_of(lambda: ad.sum_all(ad.mul(fused(), w_out)), params)
-        _, g_oracle = grads_of(lambda: ad.sum_all(ad.mul(oracle(), w_out)), params)
+        _, g_fused = grads_of(lambda: sum_all(ad.mul(fused(), w_out)), params)
+        _, g_oracle = grads_of(lambda: sum_all(ad.mul(oracle(), w_out)), params)
         for a, b in zip(g_fused, g_oracle):
             assert_close(a, b)
 

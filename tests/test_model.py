@@ -219,7 +219,7 @@ class TestForward:
             result = model.forward(batch, training=True, tf_rate=0.9, tf_rng=Rng(0),
                                    dropout_rate=0.1, dropout_rng=Rng(1))
             tr.batch_loss(result, batch, 0.5)
-        assert len(tape.nodes) <= 32
+        assert len(tape.nodes) <= 26
         # the locality reparametrization runs inside gaussian_attention and
         # lambda rides in the cross-entropy weights: no scalar glue nodes
         assert sum(n.name in ("exp", "scale") for n in tape.nodes) == 0
@@ -231,12 +231,13 @@ class TestForward:
         # each decoder's hidden states and distributions are two outputs of its scan
         assert sum(n.name == "slice_cols" for n in tape.nodes) == 0
         assert sum(n.name == "lstm_scan" and len(n.outs) == 2 for n in tape.nodes) == 4
-        # each loss reads a head's logits, the two softmaxes are the gates, and
-        # the three muls are dropout's and the two fuses'
+        # each loss reads a head's logits, each fuse is one blend that applies
+        # its gate's softmax, and the one mul is dropout's
         assert sum(n.name == "cross_entropy" for n in tape.nodes) == 2
         assert sum(n.name == "nll" for n in tape.nodes) == 0
-        assert sum(n.name == "softmax" for n in tape.nodes) == 2
-        assert sum(n.name == "mul" for n in tape.nodes) == 3
+        assert sum(n.name == "blend" for n in tape.nodes) == 2
+        assert sum(n.name in ("softmax", "sub") for n in tape.nodes) == 0
+        assert sum(n.name == "mul" for n in tape.nodes) == 1
         assert sum(n.name == "lstm_scan" for n in tape.nodes) == 6
         assert sum(n.name == "gaussian_attention" for n in tape.nodes) == 1
 

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import overfit_corpus, tiny_model
+from conftest import overfit_corpus, sum_all, tiny_model
 
 from jointslu import autodiff as ad
 from jointslu import data as dat
@@ -208,7 +208,7 @@ class TestAdam:
     def test_one_step_decreases_norm(self):
         p = ad.parameter([0.5, -0.7, 0.2])
         with Tape():
-            ad.backward(ad.sum_all(ad.mul(p, p)))
+            ad.backward(sum_all(ad.mul(p, p)))
         before = (p.values ** 2).sum()
         Adam([("p", p)], lr=0.01).step()
         assert (p.values ** 2).sum() < before
