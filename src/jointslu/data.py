@@ -259,6 +259,8 @@ class SynthSpec:
                              f"{self.dev_samples} and {self.test_samples}")
         if self.max_len < self.min_len:
             raise ValueError("max_len must be >= min_len")
+        if self.max_len < 5:    # two 2-token spans and the filler between them
+            raise ValueError(f"max_len must be >= 5 to fit any span layout, got {self.max_len}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

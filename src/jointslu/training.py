@@ -12,6 +12,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -198,8 +199,7 @@ class TrainResult:
 
 def derive_streams(seed: int) -> tuple[Rng, Rng, Rng, Rng]:
     """(init, shuffle, teacher-forcing, dropout) streams from one run seed."""
-    init, shuffle, tf, drop = Rng(seed).split(4)
-    return init, shuffle, tf, drop
+    return tuple(Rng(seed).split(4))
 
 
 def evaluate_model(model: JointModel, samples: list[Sample], vocab: Vocab,
@@ -231,6 +231,29 @@ def evaluate_model(model: JointModel, samples: list[Sample], vocab: Vocab,
                               [list(s.slot_tags) for s in samples], pred_tags)
 
 
+def epoch_batches(samples: list[Sample], vocab: Vocab, batch_size: int,
+                  shuffle_rng: Rng) -> Iterator[UtteranceBatch]:
+    """One epoch of padded batches cut from one ``shuffle_rng.permutation(len(samples))``."""
+    order = shuffle_rng.permutation(len(samples))
+    for start in range(0, len(order), batch_size):
+        yield pad_batch([samples[i] for i in order[start: start + batch_size]], vocab)
+
+
+def train_step(model: JointModel, batch: UtteranceBatch, optimizer: Adam, cfg: TrainConfig,
+               tf_rng: Rng, dropout_rng: Rng) -> float:
+    """One Adam step on ``batch`` under ``cfg``; returns its loss and keeps no tape or gradient."""
+    with Tape() as tape:
+        result = model.forward(batch, training=True, tf_rate=cfg.teacher_forcing_rate,
+                               tf_rng=tf_rng, dropout_rate=cfg.dropout_rate,
+                               dropout_rng=dropout_rng)
+        loss = batch_loss(result, batch, cfg.loss_lambda)
+        _check_finite(loss, tape, model)
+        ad.backward(loss)
+    optimizer.step()
+    optimizer.zero_grad()
+    return loss.item()
+
+
 def train(model: JointModel, corpus: Corpus, vocab: Vocab, cfg: TrainConfig,
           shuffle_rng: Rng, tf_rng: Rng, dropout_rng: Rng) -> TrainResult:
     cfg.validate()
@@ -240,23 +263,10 @@ def train(model: JointModel, corpus: Corpus, vocab: Vocab, cfg: TrainConfig,
                      frozen_rows=[(model.embedding.table, model.embedding.pad_id)])
     best_accuracy, best_epoch, best_snapshot, since_best = -1.0, -1, None, 0
     history: list[EpochRecord] = []
-    train_samples = corpus.train
     for epoch in range(1, cfg.max_epochs + 1):
-        order = shuffle_rng.permutation(len(train_samples))
         epoch_loss = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = pad_batch([train_samples[i] for i in order[start: start + cfg.batch_size]],
-                              vocab)
-            with Tape() as tape:
-                result = model.forward(batch, training=True,
-                                       tf_rate=cfg.teacher_forcing_rate, tf_rng=tf_rng,
-                                       dropout_rate=cfg.dropout_rate, dropout_rng=dropout_rng)
-                loss = batch_loss(result, batch, cfg.loss_lambda)
-                _check_finite(loss, tape, model)
-                ad.backward(loss)
-            epoch_loss += loss.item()
-            optimizer.step()
-            optimizer.zero_grad()
+        for batch in epoch_batches(corpus.train, vocab, cfg.batch_size, shuffle_rng):
+            epoch_loss += train_step(model, batch, optimizer, cfg, tf_rng, dropout_rng)
         dev_report = evaluate_model(model, corpus.dev, vocab, cfg.batch_size)
         history.append(EpochRecord(epoch=epoch, train_loss=epoch_loss, dev_report=dev_report))
         if dev_report.sentence_accuracy > best_accuracy:

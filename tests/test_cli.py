@@ -67,6 +67,14 @@ class TestSynth:
         assert not out.exists()
 
 
+    def test_max_len_below_a_span_layout_rejected_before_output(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        assert run(["synth", "--out", str(out), "--max-len", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_len must be >= 5") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestTrain:
     def test_outputs_exist(self, trained_dir):
         out, _ = trained_dir

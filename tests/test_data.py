@@ -226,13 +226,14 @@ class TestSyntheticGenerator:
             dat.SynthSpec(train_samples=100, dev_samples=10, test_samples=10, seed=9))
         assert all(any(t != "O" for t in s.slot_tags) for s in corpus.train)
 
-    def test_lengths_respect_range(self):
+    @pytest.mark.parametrize("min_len, max_len", [(4, 9), (5, 5), (7, 12)])
+    def test_lengths_respect_range(self, min_len, max_len):
         spec = dat.SynthSpec(train_samples=200, dev_samples=10, test_samples=10,
-                             min_len=4, max_len=9, seed=10)
+                             min_len=min_len, max_len=max_len, seed=10)
         corpus = dat.generate_synthetic(spec)
         lens = [len(s.tokens) for s in corpus.train]
-        assert min(lens) >= 4
-        assert max(lens) <= 9
+        assert min(lens) >= min_len
+        assert max(lens) <= max_len
 
     def test_majority_lexicon_classifier_is_perfect_at_purity_one(self):
         spec = dat.SynthSpec(purity=1.0, train_samples=500, dev_samples=50,
@@ -257,5 +258,8 @@ class TestSyntheticGenerator:
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             dat.generate_synthetic(dat.SynthSpec(purity=1.5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_len must be >= min_len"):
             dat.generate_synthetic(dat.SynthSpec(max_len=2, min_len=4))
+        # two 2-token spans and the filler between them need 5 tokens
+        with pytest.raises(ValueError, match="max_len must be >= 5"):
+            dat.generate_synthetic(dat.SynthSpec(max_len=4))

@@ -366,6 +366,76 @@ class TestTrainLoop:
         assert result.best_dev_accuracy == best
 
 
+class TestTrainStep:
+    CFG = TrainConfig(learning_rate=0.01, l2_decay=1e-4, dropout_rate=0.4,
+                      teacher_forcing_rate=0.9, loss_lambda=0.3)
+
+    @staticmethod
+    def inline_step(model, batch, optimizer, cfg, tf_rng, dropout_rng):
+        """The step as ``train`` wrote it out before ``train_step`` existed."""
+        with Tape() as tape:
+            result = model.forward(batch, training=True,
+                                   tf_rate=cfg.teacher_forcing_rate, tf_rng=tf_rng,
+                                   dropout_rate=cfg.dropout_rate, dropout_rng=dropout_rng)
+            loss = tr.batch_loss(result, batch, cfg.loss_lambda)
+            tr._check_finite(loss, tape, model)
+            ad.backward(loss)
+        value = loss.item()
+        optimizer.step()
+        optimizer.zero_grad()
+        return value
+
+    def setup(self, vocab):
+        model = tiny_model(vocab)
+        optimizer = Adam(model.parameters(), lr=self.CFG.learning_rate,
+                         l2_decay=self.CFG.l2_decay,
+                         frozen_rows=[(model.embedding.table, model.embedding.pad_id)])
+        return model, optimizer, Rng(3), Rng(4)
+
+    def test_matches_the_inline_step_bit_for_bit(self, small_synth):
+        corpus, vocab = small_synth
+        batches = [dat.pad_batch(corpus.train[lo: lo + 8], vocab) for lo in (0, 8, 16)]
+        runs = []
+        for step in (tr.train_step, self.inline_step):
+            model, optimizer, tf, drop = self.setup(vocab)
+            losses = [step(model, batch, optimizer, self.CFG, tf, drop) for batch in batches]
+            assert optimizer.step_count == 3
+            runs.append((losses, {name: p.values.tobytes()
+                                  for name, p in model.parameters(active_only=False)}))
+        assert runs[0] == runs[1]
+
+    def test_diverging_step_leaves_adam_untouched(self, small_synth):
+        corpus, vocab = small_synth
+        model, optimizer, tf, drop = self.setup(vocab)
+        model.params["encoder.fwd.w_x"].values[0, 0] = np.nan
+        with pytest.raises(TrainingDiverged, match="encoder.fwd.w_x"):
+            tr.train_step(model, dat.pad_batch(corpus.train[:8], vocab), optimizer,
+                          self.CFG, tf, drop)
+        assert optimizer.step_count == 0
+        for name, _ in model.parameters():
+            assert not optimizer.m[name].any() and not optimizer.v[name].any(), name
+
+
+class TestEpochBatches:
+    @pytest.mark.parametrize("batch_size", [1, 5, 32, 40])
+    def test_one_permutation_cut_into_batches(self, small_synth, batch_size):
+        corpus, vocab = small_synth
+        samples = corpus.train
+        rng, twin = Rng(7), Rng(7)
+        batches = tr.epoch_batches(samples, vocab, batch_size, rng)
+        assert rng.bit_generator.state == twin.bit_generator.state, "drew before iterating"
+        batches = list(batches)
+        order = twin.permutation(len(samples))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        chunks = [order[lo: lo + batch_size] for lo in range(0, len(samples), batch_size)]
+        assert len(batches) == len(chunks) == -(-len(samples) // batch_size)
+        assert sorted(np.concatenate(chunks)) == list(range(len(samples)))
+        for batch, rows in zip(batches, chunks):
+            want = dat.pad_batch([samples[i] for i in rows], vocab)
+            for field in ("token_ids", "lengths", "slot_ids", "intent_ids", "mask"):
+                assert np.array_equal(getattr(batch, field), getattr(want, field)), field
+
+
 class TestEvaluateModel:
     @pytest.mark.parametrize("batch_size", [1, 5, 16, 40])
     def test_batches_are_chunks_of_the_stable_length_order(self, small_synth, monkeypatch,
@@ -429,6 +499,29 @@ class TestTapeLifetime:
             assert loss.tape is tape
             del tape, result, loss
             assert freed() is None
+        finally:
+            gc.enable()
+
+
+    def test_train_step_keeps_no_tape_and_no_gradient(self, small_synth, monkeypatch):
+        corpus, vocab = small_synth
+        model = tiny_model(vocab)
+        optimizer = Adam(model.parameters(), lr=0.01)
+        tapes = []
+
+        class WatchedTape(Tape):
+            def __enter__(self):
+                tapes.append(weakref.ref(self))
+                return super().__enter__()
+
+        monkeypatch.setattr(tr, "Tape", WatchedTape)
+        gc.disable()
+        try:
+            tr.train_step(model, dat.pad_batch(corpus.train[:8], vocab), optimizer,
+                          TrainConfig(), Rng(0), Rng(1))
+            assert len(tapes) == 1 and tapes[0]() is None
+            for name, p in model.parameters(active_only=False):
+                assert p._grad is None, name
         finally:
             gc.enable()
 

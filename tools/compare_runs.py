@@ -1,10 +1,11 @@
 """Record a fixed set of short training runs, and compare two such records.
 
-Run it with the ``src/`` of the tree under test on ``PYTHONPATH``:
+Record each tree with its own copy of this tool, e.g. the parent's from a ``git worktree``
+in ../parent: older trees lack ``training.train_step``. Every copy writes the same keys:
 
     PYTHONPATH=src python tools/compare_runs.py after.npz
-    PYTHONPATH=/path/to/other/tree/src python tools/compare_runs.py before.npz
-    PYTHONPATH=src python tools/compare_runs.py after.npz --against before.npz
+    cd ../parent && PYTHONPATH=src python tools/compare_runs.py /tmp/before.npz
+    PYTHONPATH=src python tools/compare_runs.py after.npz --against /tmp/before.npz
 
 The first form writes an ``.npz`` with, for each size and each flag set, the
 step-1 label distributions ``y_slot`` / ``y_intent`` (the softmax of the
@@ -27,6 +28,7 @@ max |b|), and exits 1 if any key differs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import tempfile
@@ -57,28 +59,25 @@ def record_run(corpus: dat.Corpus, vocab: dat.Vocab, size: str, flag_set: str,
                      n_slots=vocab.n_slots, n_intents=vocab.n_intents)
     init_rng, shuffle_rng, tf_rng, dropout_rng = tr.derive_streams(SEED)
     model = build_model(dims, cfg.flags(), init_rng)
+    batches = tr.epoch_batches(corpus.train, vocab, cfg.batch_size, shuffle_rng)
+    first = next(batches)
+    # step 1 probed on the fresh model; its tf and dropout streams are still unread
+    _, _, tf_probe, dropout_probe = tr.derive_streams(SEED)
+    with ad.Tape():
+        result = model.forward(first, training=True, tf_rate=cfg.teacher_forcing_rate,
+                               tf_rng=tf_probe, dropout_rate=cfg.dropout_rate,
+                               dropout_rng=dropout_probe)
+        ad.backward(tr.batch_loss(result, first, cfg.loss_lambda))
+    # taken after the tape closed, so nothing is recorded
+    out = {prefix + "y_slot": ad.softmax(result.z_slot, axis=1).values,
+           prefix + "y_intent": ad.softmax(result.z_intent, axis=1).values}
+    for name, p in model.parameters(active_only=False):
+        out[prefix + "grad/" + name] = p.grad.copy()
+    model.zero_grad()
     optimizer = tr.Adam(model.parameters(), lr=cfg.learning_rate, l2_decay=cfg.l2_decay,
                         frozen_rows=[(model.embedding.table, model.embedding.pad_id)])
-    order = shuffle_rng.permutation(len(corpus.train))
-    out, losses = {}, []
-    for step in range(steps):
-        rows = order[step * cfg.batch_size: (step + 1) * cfg.batch_size]
-        batch = dat.pad_batch([corpus.train[i] for i in rows], vocab)
-        with ad.Tape():
-            result = model.forward(batch, training=True, tf_rate=cfg.teacher_forcing_rate,
-                                   tf_rng=tf_rng, dropout_rate=cfg.dropout_rate,
-                                   dropout_rng=dropout_rng)
-            loss = tr.batch_loss(result, batch, cfg.loss_lambda)
-            ad.backward(loss)
-        losses.append(loss.item())
-        if step == 0:
-            # taken after the tape closed, so nothing is recorded
-            out[prefix + "y_slot"] = ad.softmax(result.z_slot, axis=1).values
-            out[prefix + "y_intent"] = ad.softmax(result.z_intent, axis=1).values
-            for name, p in model.parameters(active_only=False):
-                out[prefix + "grad/" + name] = p.grad.copy()
-        optimizer.step()
-        optimizer.zero_grad()
+    losses = [tr.train_step(model, batch, optimizer, cfg, tf_rng, dropout_rng)
+              for batch in itertools.chain([first], itertools.islice(batches, steps - 1))]
     out[prefix + "losses"] = np.array(losses)
     for split in ("dev", "test"):
         report = tr.evaluate_model(model, corpus.split(split), vocab, cfg.batch_size)
