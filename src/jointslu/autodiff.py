@@ -217,23 +217,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[1]:
         raise ShapeError(f"linear needs x [n,in] and w [out,in], got {xv.shape} and {wv.shape}")
     out = xv @ wv.T
-    if b is None:
-        def bk(g):
-            return (g @ wv if x.requires_grad else None,
-                    g.T @ xv if w.requires_grad else None)
-
-        return _record("linear", out, (x, w), bk)
-
-    bv = b.values
-    if bv.shape != (wv.shape[0],):
-        raise ShapeError(f"linear bias must have shape [{wv.shape[0]}], got {bv.shape}")
+    inputs = (x, w)
+    if b is not None:
+        if b.values.shape != (wv.shape[0],):
+            raise ShapeError(f"linear bias must have shape [{wv.shape[0]}], got {b.values.shape}")
+        out += b.values
+        inputs = (x, w, b)
 
     def bk(g):
         return (g @ wv if x.requires_grad else None,
                 g.T @ xv if w.requires_grad else None,
-                g.sum(axis=0) if b.requires_grad else None)
+                g.sum(axis=0) if b is not None and b.requires_grad else None)[:len(inputs)]
 
-    return _record("linear", out + bv, (x, w, b), bk)
+    return _record("linear", out, inputs, bk)
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -504,7 +500,7 @@ def lstm_scan(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, steps: int,
             if K:
                 y = ys[t]
                 gy = g_y[t] if dy is None else g_y[t] + dy
-                d_z[t] = (gy - (gy * y).sum(axis=1, keepdims=True)) * y
+                d_z[t] = _softmax_vjp(gy, y, 1)
                 dh += d_z[t] @ proj.values
             if padded[t]:
                 dh *= keep[t]
@@ -583,7 +579,7 @@ def gaussian_attention(x: Tensor, mask: np.ndarray, w_raw: Tensor,
     s = np.where(key, scores, -np.inf)
     top = s.max(axis=2, keepdims=True)
     top[empty] = 0.0
-    e = np.where(key, np.exp(s - top), 0.0)
+    e = np.exp(s - top)                    # exactly 0 at the masked keys, where s is -inf
     total = e.sum(axis=2, keepdims=True)
     total[empty] = 1.0
     weights = e / total
@@ -595,7 +591,7 @@ def gaussian_attention(x: Tensor, mask: np.ndarray, w_raw: Tensor,
         # a fresh array: at T == 1 or B == 1 the transpose is a view of g
         gc = np.multiply(g.reshape(T, B, d).transpose(1, 0, 2), query, order="C")
         d_weights = gc @ xb.transpose(0, 2, 1)
-        ds = (d_weights - (d_weights * weights).sum(axis=2, keepdims=True)) * weights
+        ds = _softmax_vjp(d_weights, weights, 2)
         dx = None
         if x.requires_grad:
             dx = weights.transpose(0, 2, 1) @ gc

@@ -66,27 +66,21 @@ def read_config_file(path: str) -> dict:
     """Parse a flat key = value file into RunConfig field values."""
     types = {f.name: f.type for f in fields(RunConfig)}
     out = {}
-    # undecodable bytes read as lone surrogates, which do not encode back
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        for lineno, line in enumerate(f, 1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in _KEY_TO_FIELD:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            name = _KEY_TO_FIELD[key]
-            try:
-                out[name] = _FIELD_TYPES[types[name]](raw.strip())
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {key}: {e}") from None
+    for lineno, line in enumerate(dat.read_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in _KEY_TO_FIELD:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        name = _KEY_TO_FIELD[key]
+        try:
+            out[name] = _FIELD_TYPES[types[name]](raw.strip())
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {key}: {e}") from None
     return out
 
 
@@ -105,11 +99,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def write_resolved_config(cfg: RunConfig, path: str) -> None:
+def write_settings(path: str, settings: dict) -> None:
+    """One ``key = value`` line per setting, the format ``read_config_file`` reads."""
     with open(path, "w", encoding="utf-8") as f:
-        for f_def in fields(RunConfig):
-            key = _FIELD_TO_KEY[f_def.name]
-            f.write(f"{key} = {getattr(cfg, f_def.name)}\n")
+        f.writelines(f"{key} = {value}\n" for key, value in settings.items())
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -118,13 +111,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError("train needs a corpus directory (--data) and an output "
                          "directory (--out), on the command line or in the config file")
     corpus = dat.load_corpus(cfg.data)
-    for split in ("train", "dev", "test"):
-        if not corpus.split(split):
-            raise ValueError(f"{cfg.data}: the {split} split is empty")
     vocab = dat.build_vocabs(corpus)
     os.makedirs(cfg.out, exist_ok=True)
     out_file = lambda name: os.path.join(cfg.out, name)
-    write_resolved_config(cfg, out_file("resolved_config.txt"))
+    write_settings(out_file("resolved_config.txt"),
+                   {_FIELD_TO_KEY[name]: value for name, value in asdict(cfg).items()})
 
     dims = ModelDims(vocab_size=vocab.n_words, emb_dim=cfg.emb_dim, hidden=cfg.hidden,
                      n_slots=vocab.n_slots, n_intents=vocab.n_intents)
@@ -152,9 +143,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_labels(samples: list[dat.Sample], vocab: dat.Vocab, split_dir: str) -> None:
+def _check_labels(samples: list[dat.Sample], vocab: dat.Vocab, root: str, split: str) -> None:
     """Reject the first slot tag or intent the checkpoint's vocabulary lacks,
     naming its file and line (sample i is line i + 1)."""
+    split_dir = dat.split_dir(root, split)
     for line, s in enumerate(samples, 1):
         for tag in s.slot_tags:
             if tag not in vocab.tag_to_id:
@@ -166,13 +158,9 @@ def _check_labels(samples: list[dat.Sample], vocab: dat.Vocab, split_dir: str) -
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    corpus = dat.load_corpus(args.data)
-    samples = corpus.split(args.split)
-    if not samples:
-        raise ValueError(f"{args.data}: the {args.split} split is empty")
+    samples = dat.load_split(args.data, args.split)
     ckpt = tr.load_checkpoint(args.checkpoint)
-    _check_labels(samples, ckpt.vocab,
-                  os.path.join(args.data, dat.SPLIT_DIRS.get(args.split, args.split)))
+    _check_labels(samples, ckpt.vocab, args.data, args.split)
     model = ckpt.build_model()
     report = tr.evaluate_model(model, samples, ckpt.vocab, args.batch_size)
     text = report.to_text()
@@ -266,9 +254,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     corpus = dat.generate_synthetic(spec)
     os.makedirs(args.out, exist_ok=True)
     dat.write_corpus(corpus, args.out)
-    with open(os.path.join(args.out, "synth_spec.txt"), "w", encoding="utf-8") as f:
-        for key, value in asdict(spec).items():
-            f.write(f"{key} = {value!r}\n")
+    write_settings(os.path.join(args.out, "synth_spec.txt"), asdict(spec))
     print(f"wrote {len(corpus.train)}/{len(corpus.dev)}/{len(corpus.test)} "
           f"samples to {args.out}")
     return 0

@@ -41,18 +41,26 @@ class Corpus:
     test: list[Sample]
 
     def split(self, name: str) -> list[Sample]:
-        if name == "valid":
-            name = "dev"
-        if name not in SPLIT_DIRS:
-            raise ValueError(f"unknown split {name!r}; expected one of {sorted(SPLIT_DIRS)}")
-        return getattr(self, name)
+        return getattr(self, _split_key(name))
+
+
+def _split_key(name: str) -> str:
+    """``train``, ``dev`` or ``test``; ``valid``, the dev directory's name, means ``dev``."""
+    key = "dev" if name == "valid" else name
+    if key not in SPLIT_DIRS:
+        raise ValueError(f"unknown split {name!r}; expected one of {sorted(SPLIT_DIRS)}")
+    return key
+
+
+def split_dir(root: str, name: str) -> str:
+    return os.path.join(root, SPLIT_DIRS[_split_key(name)])
 
 
 def _valid_tag(tag: str) -> bool:
     return tag == "O" or (len(tag) > 2 and tag[0] in "BI" and tag[1] == "-")
 
 
-def _read_lines(path: str) -> list[str]:
+def read_lines(path: str) -> list[str]:
     """The lines of a UTF-8 file, split at newlines only: ``str.splitlines``
     would also split inside a line at U+2028, U+0085 or a form feed."""
     # undecodable bytes read as lone surrogates, which do not encode back
@@ -69,17 +77,22 @@ def _read_lines(path: str) -> list[str]:
     return lines
 
 
-def _load_split(split_dir: str) -> list[Sample]:
-    paths = {name: os.path.join(split_dir, name) for name in ("seq.in", "seq.out", "label")}
+def load_split(root: str, split: str) -> list[Sample]:
+    """The samples of one split of the corpus at ``root``; a missing or empty
+    split is an error."""
+    d = split_dir(root, split)
+    if not os.path.isdir(d):
+        raise CorpusFormatError(f"missing split directory {d}")
+    paths = {name: os.path.join(d, name) for name in ("seq.in", "seq.out", "label")}
     for name, p in paths.items():
         if not os.path.isfile(p):
-            raise CorpusFormatError(f"missing {name} in {split_dir}")
-    lines = {name: _read_lines(p) for name, p in paths.items()}
+            raise CorpusFormatError(f"missing {name} in {d}")
+    lines = {name: read_lines(p) for name, p in paths.items()}
     n = len(lines["seq.in"])
     for name in ("seq.out", "label"):
         if len(lines[name]) != n:
             raise CorpusFormatError(
-                f"line count mismatch in {split_dir}: {name} has {len(lines[name])} lines, "
+                f"line count mismatch in {d}: {name} has {len(lines[name])} lines, "
                 f"seq.in has {n}")
     samples = []
     for i in range(n):
@@ -97,22 +110,18 @@ def _load_split(split_dir: str) -> list[Sample]:
             if not _valid_tag(tag):
                 raise CorpusFormatError(f"{paths['seq.out']}:{i + 1}: malformed tag {tag!r}")
         samples.append(Sample(tokens, tags, intent))
+    if not samples:
+        raise CorpusFormatError(f"{root}: the {split} split is empty")
     return samples
 
 
 def load_corpus(root: str) -> Corpus:
-    splits = {}
-    for split, dirname in SPLIT_DIRS.items():
-        d = os.path.join(root, dirname)
-        if not os.path.isdir(d):
-            raise CorpusFormatError(f"missing split directory {d}")
-        splits[split] = _load_split(d)
-    return Corpus(**splits)
+    return Corpus(**{split: load_split(root, split) for split in SPLIT_DIRS})
 
 
 def write_corpus(corpus: Corpus, root: str) -> None:
-    for split, dirname in SPLIT_DIRS.items():
-        d = os.path.join(root, dirname)
+    for split in SPLIT_DIRS:
+        d = split_dir(root, split)
         os.makedirs(d, exist_ok=True)
         samples = corpus.split(split)
         with open(os.path.join(d, "seq.in"), "w", encoding="utf-8") as f:
@@ -134,9 +143,9 @@ class Vocab:
     words: list[str]
     slot_tags: list[str]
     intents: list[str]
-    word_to_id: dict[str, int] = field(repr=False, default_factory=dict)
-    tag_to_id: dict[str, int] = field(repr=False, default_factory=dict)
-    intent_to_id: dict[str, int] = field(repr=False, default_factory=dict)
+    word_to_id: dict[str, int] = field(init=False, repr=False)
+    tag_to_id: dict[str, int] = field(init=False, repr=False)
+    intent_to_id: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.word_to_id = {w: i for i, w in enumerate(self.words)}
@@ -195,7 +204,6 @@ class UtteranceBatch:
     """
 
     token_ids: np.ndarray   # [B, T] int
-    lengths: np.ndarray     # [B] int
     slot_ids: np.ndarray    # [B, T] int, PAD_SLOT_ID at padding
     intent_ids: np.ndarray  # [B] int
     mask: np.ndarray        # [B, T] bool
@@ -222,7 +230,7 @@ def pad_batch(samples: list[Sample], vocab: Vocab) -> UtteranceBatch:
         slot_ids[i, : lengths[i]] = _label_ids(vocab.tag_to_id, s.slot_tags, "slot tag")
         intent_ids[i] = _label_ids(vocab.intent_to_id, [s.intent], "intent")[0]
     mask = np.arange(T)[None, :] < lengths[:, None]
-    return UtteranceBatch(token_ids, lengths, slot_ids, intent_ids, mask)
+    return UtteranceBatch(token_ids, slot_ids, intent_ids, mask)
 
 
 @dataclass

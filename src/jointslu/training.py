@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics as met
 from .autodiff import Rng, Tape, Tensor
-from .data import Corpus, Sample, UtteranceBatch, Vocab, pad_batch
+from .data import PAD_TOKEN, UNK_TOKEN, Corpus, Sample, UtteranceBatch, Vocab, pad_batch
 from .model import AblationFlags, ForwardResult, JointModel, ModelDims, build_model
 
 
@@ -371,6 +371,11 @@ def _parse_header(raw: bytes, path: str) -> tuple[dict, ModelDims, AblationFlags
         raise corrupt("vocab needs string lists words, slot_tags and intents")
     if [len(xs) for xs in lists] != [dims["vocab_size"], dims["n_slots"], dims["n_intents"]]:
         raise corrupt("vocabulary sizes do not match dims")
+    if lists[0][:2] != [PAD_TOKEN, UNK_TOKEN]:
+        raise corrupt(f"words 0 and 1 must be {PAD_TOKEN} and {UNK_TOKEN}, got {lists[0][:2]}")
+    for kind, xs in zip(("words", "slot_tags", "intents"), lists):
+        if len(set(xs)) != len(xs):    # Vocab maps a repeated entry to its last id
+            raise corrupt(f"vocab {kind} repeats an entry")
     return config, ModelDims(**dims), AblationFlags(**flags), Vocab(*lists)
 
 

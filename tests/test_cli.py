@@ -38,6 +38,15 @@ def trained_dir(tmp_path_factory, synth_dir):
     return out, args
 
 
+@pytest.fixture(scope="module")
+def clean_test_report(trained_dir, synth_dir):
+    """The report of ``evaluate --split test`` on the clean corpus."""
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        assert run(corpus_argv("evaluate", trained_dir, synth_dir, None)) == 0
+    return stdout.getvalue()
+
+
 class TestSynth:
     def test_writes_three_files_per_split(self, synth_dir):
         for split in ("train", "valid", "test"):
@@ -48,6 +57,12 @@ class TestSynth:
         text = (synth_dir / "synth_spec.txt").read_text()
         assert "purity = 1.0" in text
         assert "seed = 3" in text
+
+    def test_spec_file_text(self, synth_dir):
+        assert (synth_dir / "synth_spec.txt").read_text() == (
+            "n_intents = 5\nslot_types_per_intent = 3\nlexicon_size = 6\n"
+            "filler_vocab_size = 30\nmin_len = 4\nmax_len = 9\ntrain_samples = 24\n"
+            "dev_samples = 8\ntest_samples = 8\npurity = 1.0\nseed = 3\n")
 
     def test_seeded_rerun_is_byte_identical(self, synth_dir, tmp_path):
         assert run(["synth", "--out", str(tmp_path), "--train-samples", "24",
@@ -119,6 +134,15 @@ class TestTrain:
         text = (out / "resolved_config.txt").read_text()
         assert "hidden = 8" in text
         assert "lambda = 0.5" in text
+
+    def test_resolved_config_text(self, trained_dir, synth_dir):
+        out, _ = trained_dir
+        assert (out / "resolved_config.txt").read_text() == (
+            "learning_rate = 0.001\nl2_decay = 1e-06\nbatch_size = 8\n"
+            "teacher_forcing_rate = 0.9\ndropout_rate = 0.4\nlambda = 0.5\nmax_epochs = 2\n"
+            "patience = 2\nseed = 5\nno_slot2intent = False\nno_intent2slot = False\n"
+            "no_gaussian_attention = False\nno_cooperation = False\nemb_dim = 8\n"
+            f"hidden = 8\ndata = {synth_dir}\nout = {out}\n")
 
     def test_ablation_flag_prunes_checkpoint(self, synth_dir, tmp_path):
         assert run(["train", "--data", str(synth_dir), "--out", str(tmp_path),
@@ -350,8 +374,8 @@ class TestCorpusFuzz:
     @given(split=st.sampled_from(["train", "valid", "test"]),
            files=st.tuples(CORPUS_FILES, CORPUS_FILES, CORPUS_FILES))
     @settings(max_examples=150, deadline=None)
-    def test_garbage_corpus_fails_cleanly(self, trained_dir, synth_dir, tmp_path_factory,
-                                          command, split, files):
+    def test_garbage_corpus_fails_cleanly(self, trained_dir, synth_dir, clean_test_report,
+                                          tmp_path_factory, command, split, files):
         d = tmp_path_factory.mktemp("corpus")
         data = d / "data"
         shutil.copytree(synth_dir, data)
@@ -361,6 +385,10 @@ class TestCorpusFuzz:
         with redirect_stdout(stdout), redirect_stderr(stderr):
             code = run(corpus_argv(command, trained_dir, data, d / "out"))
         err = stderr.getvalue()
+        if command == "evaluate" and split != "test":
+            # evaluate reads only the split it scores
+            assert (code, err, stdout.getvalue()) == (0, "", clean_test_report)
+            return
         if code == 1:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             # every corpus error names the corpus, an unknown label included
@@ -368,7 +396,7 @@ class TestCorpusFuzz:
             return
         # the garbage was a well-formed split: one sample per line of each file
         assert code == 0 and err == ""
-        samples = dat.load_corpus(data).split(split)
+        samples = dat.load_split(data, split)
         assert [s.intent for s in samples] == [line.strip() for line in text_lines(files[2])]
 
 
@@ -406,6 +434,18 @@ class TestEvaluate:
         assert run(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
                     "--data", str(corpus_dir), "--split", "train"]) == 0
         assert "sentence_accuracy = 1.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", ["only test", "one-line train label"])
+    def test_reads_only_the_split_it_scores(self, trained_dir, synth_dir, clean_test_report,
+                                            tmp_path, capsys, damage):
+        data = tmp_path / "corpus"
+        if damage == "only test":
+            shutil.copytree(synth_dir / "test", data / "test")
+        else:
+            shutil.copytree(synth_dir, data)
+            (data / "train" / "label").write_text("intent0\n")
+        assert run(corpus_argv("evaluate", trained_dir, data, None)) == 0
+        assert capsys.readouterr().out == clean_test_report
 
     @pytest.mark.parametrize("size", ["0", "-1"])
     def test_batch_size_below_one_fails(self, trained_dir, synth_dir, capsys, size):
@@ -514,6 +554,25 @@ class TestPredict:
         assert run(["predict", "--checkpoint", str(bad), "--text", "w0 w1"]) == 1
         assert capsys.readouterr().err == (f"error: {bad}: corrupt checkpoint header: flags "
                                            f"disable both interaction directions\n")
+
+    @pytest.mark.parametrize("kind,i,j,why", [
+        ("words", 3, 2, "vocab words repeats an entry"),
+        ("slot_tags", 1, 0, "vocab slot_tags repeats an entry"),
+        ("intents", 1, 0, "vocab intents repeats an entry"),
+        ("words", 0, None, "words 0 and 1 must be <pad> and <unk>, got ['zzz', '<unk>']"),
+    ], ids=["repeated word", "repeated slot tag", "repeated intent", "no pad word"])
+    def test_header_vocabulary_names_the_file(self, trained_dir, tmp_path, capsys,
+                                              kind, i, j, why):
+        data = (trained_dir[0] / "checkpoint.bin").read_bytes()
+        (header_len,) = struct.unpack("<Q", data[8:16])
+        header = json.loads(data[16:16 + header_len])
+        entries = header["vocab"][kind]
+        entries[i] = "zzz" if j is None else entries[j]
+        raw = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + header_len:])
+        assert run(["predict", "--checkpoint", str(bad), "--text", "w0 w1"]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: corrupt checkpoint header: {why}\n"
 
     def test_empty_input_fails(self, trained_dir, capsys):
         out, _ = trained_dir

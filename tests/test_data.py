@@ -88,6 +88,39 @@ class TestLoadCorpus:
             dat.load_corpus(tmp_path)
 
 
+class TestLoadSplit:
+    @pytest.fixture
+    def corpus_dir(self, tmp_path):
+        write_split(tmp_path, "train", [GOOD_ROW, ("a b", "O O", "greet")])
+        write_split(tmp_path, "valid", [("c", "O", "x")])
+        write_split(tmp_path, "test", [("d e", "O B-t", "y")])
+        return tmp_path
+
+    @pytest.mark.parametrize("split,field", [("train", "train"), ("dev", "dev"),
+                                             ("valid", "dev"), ("test", "test")])
+    def test_is_the_corpus_split(self, corpus_dir, split, field):
+        assert dat.load_split(corpus_dir, split) == getattr(dat.load_corpus(corpus_dir), field)
+
+    def test_unknown_split(self, corpus_dir):
+        with pytest.raises(ValueError, match="unknown split 'eval'"):
+            dat.load_split(corpus_dir, "eval")
+
+    def test_reads_only_its_own_directory(self, tmp_path):
+        write_split(tmp_path, "test", [GOOD_ROW])
+        assert len(dat.load_split(tmp_path, "test")) == 1
+        with pytest.raises(CorpusFormatError,
+                           match=f"^missing split directory {re.escape(str(tmp_path / 'train'))}$"):
+            dat.load_split(tmp_path, "train")
+
+    def test_empty_split(self, corpus_dir):
+        write_split(corpus_dir, "valid", [])
+        with pytest.raises(CorpusFormatError,
+                           match=f"^{re.escape(str(corpus_dir))}: the valid split is empty$"):
+            dat.load_split(corpus_dir, "valid")
+        with pytest.raises(CorpusFormatError, match="the dev split is empty$"):
+            dat.load_corpus(corpus_dir)
+
+
 class TestBuildVocabs:
     def test_reserved_ids(self, tmp_path):
         write_minimal_corpus(tmp_path)
@@ -117,6 +150,11 @@ class TestBuildVocabs:
         corpus = dat.load_corpus(tmp_path)
         a, b = dat.build_vocabs(corpus), dat.build_vocabs(corpus)
         assert a.words == b.words and a.slot_tags == b.slot_tags and a.intents == b.intents
+
+    def test_id_maps_are_derived_not_passed(self):
+        with pytest.raises(TypeError, match="word_to_id"):
+            dat.Vocab(words=[dat.PAD_TOKEN, dat.UNK_TOKEN], slot_tags=["O"], intents=["x"],
+                      word_to_id={})
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):

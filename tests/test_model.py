@@ -173,8 +173,8 @@ class TestForward:
         batch = dat.pad_batch(samples, vocab)
         assert not batch.mask.all(), "fixture needs mixed lengths"
         g1 = grads_after_backward(model, batch)
-        tampered = dat.UtteranceBatch(batch.token_ids.copy(), batch.lengths,
-                                      batch.slot_ids, batch.intent_ids, batch.mask)
+        tampered = dat.UtteranceBatch(batch.token_ids.copy(), batch.slot_ids,
+                                      batch.intent_ids, batch.mask)
         tampered.token_ids[~tampered.mask] = 3
         g2 = grads_after_backward(model, tampered)
         for name in g1:

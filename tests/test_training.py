@@ -99,7 +99,7 @@ def forward_result(slot_rows, intent_rows):
     gold slot 0 at every step and gold intent 0."""
     T = len(slot_rows)
     batch = dat.UtteranceBatch(token_ids=np.zeros((1, T), dtype=np.int64),
-                               lengths=np.array([T]), slot_ids=np.zeros((1, T), dtype=np.int64),
+                               slot_ids=np.zeros((1, T), dtype=np.int64),
                                intent_ids=np.array([0]), mask=np.ones((1, T), dtype=bool))
     result = ForwardResult(z_slot=ad.constant(slot_rows), z_intent=ad.constant([intent_rows]),
                            mask=batch.mask)
@@ -432,7 +432,7 @@ class TestEpochBatches:
         assert sorted(np.concatenate(chunks)) == list(range(len(samples)))
         for batch, rows in zip(batches, chunks):
             want = dat.pad_batch([samples[i] for i in rows], vocab)
-            for field in ("token_ids", "lengths", "slot_ids", "intent_ids", "mask"):
+            for field in ("token_ids", "slot_ids", "intent_ids", "mask"):
                 assert np.array_equal(getattr(batch, field), getattr(want, field)), field
 
 
