@@ -110,11 +110,19 @@ class Adam:
     the moment updates. Rows listed in ``frozen_rows`` (the pad embedding row)
     are re-zeroed after every step.
 
+    The update is the efficient form of Kingma & Ba (arXiv:1412.6980, section
+    2): both bias corrections fold into the step size
+    ``a_t = lr * sqrt(1 - b2^t) / (1 - b1^t)`` and the offset
+    ``eps_t = eps * sqrt(1 - b2^t)``, so ``p -= a_t * m / (sqrt(v) + eps_t)``
+    equals the textbook ``lr * m_hat / (sqrt(v_hat) + eps)`` up to rounding.
+    ``m`` and ``v`` are the textbook (uncorrected) moments.
+
     The update walks each parameter's flat view in blocks of ``_ADAM_BLOCK``
     elements and runs the whole elementwise update on one block before the
-    next, through two block-sized scratch buffers. The order of operations is
-    the textbook expression's, so the result does not depend on the blocking,
-    and no gradient buffer is written."""
+    next, through two block-sized scratch buffers: 14 ufunc passes per block,
+    one of them a divide and one a square root. Every element takes the same
+    operations in the same order, so the result is bit-identical to the same
+    update over whole arrays, and no gradient buffer is written."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -136,18 +144,19 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.BETA1 ** t
-        bc2 = 1.0 - self.BETA2 ** t
+        root_bc2 = math.sqrt(1.0 - self.BETA2 ** t)
+        step_size = self.lr * root_bc2 / (1.0 - self.BETA1 ** t)
+        eps = self.EPS * root_bc2
         for name, p in self.params:
             flat = (p.values.reshape(-1), p.grad.reshape(-1),
                     self.m[name].reshape(-1), self.v[name].reshape(-1))
             for lo in range(0, p.values.size, _ADAM_BLOCK):
-                self._update(*(a[lo:lo + _ADAM_BLOCK] for a in flat), bc1, bc2)
+                self._update(*(a[lo:lo + _ADAM_BLOCK] for a in flat), step_size, eps)
         for tensor, row in self.frozen_rows:
             tensor.values[row, :] = 0.0
 
     def _update(self, p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
-                bc1: float, bc2: float) -> None:
+                step_size: float, eps: float) -> None:
         s1, s2 = (buf[:g.size] for buf in self._scratch)
         if self.l2_decay:
             np.multiply(p, self.l2_decay, out=s1)
@@ -158,12 +167,10 @@ class Adam:
         np.multiply(g, g, out=s2)
         s2 *= 1.0 - self.BETA2
         v += s2
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        step = np.divide(m, bc1, out=s1)
-        step *= self.lr
-        denom = np.divide(v, bc2, out=s2)
-        np.sqrt(denom, out=denom)
-        denom += self.EPS
+        # p -= step_size * m / (sqrt(v) + eps)
+        denom = np.sqrt(v, out=s2)
+        denom += eps
+        step = np.multiply(m, step_size, out=s1)
         step /= denom
         p -= step
 
@@ -373,6 +380,9 @@ def _parse_header(raw: bytes, path: str) -> tuple[dict, ModelDims, AblationFlags
         raise corrupt("vocabulary sizes do not match dims")
     if lists[0][:2] != [PAD_TOKEN, UNK_TOKEN]:
         raise corrupt(f"words 0 and 1 must be {PAD_TOKEN} and {UNK_TOKEN}, got {lists[0][:2]}")
+    for word in lists[0]:   # Vocab.word_id case-folds every token it looks up
+        if word != word.casefold():
+            raise corrupt(f"vocab word {word!r} is not case-folded")
     for kind, xs in zip(("words", "slot_tags", "intents"), lists):
         if len(set(xs)) != len(xs):    # Vocab maps a repeated entry to its last id
             raise corrupt(f"vocab {kind} repeats an entry")

@@ -574,6 +574,17 @@ class TestPredict:
         assert run(["predict", "--checkpoint", str(bad), "--text", "w0 w1"]) == 1
         assert capsys.readouterr().err == f"error: {bad}: corrupt checkpoint header: {why}\n"
 
+    def test_header_word_not_case_folded(self, trained_dir, tmp_path, capsys):
+        # a lookup case-folds its token, so 'W8' could never be found
+        data = (trained_dir[0] / "checkpoint.bin").read_bytes()
+        (header_len,) = struct.unpack("<Q", data[8:16])
+        at = data.index(b'"w8"', 16, 16 + header_len) + 1
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(data[:at] + b"W" + data[at + 1:])
+        assert run(["predict", "--checkpoint", str(bad), "--text", "w8 w8"]) == 1
+        assert capsys.readouterr().err == (f"error: {bad}: corrupt checkpoint header: "
+                                           f"vocab word 'W8' is not case-folded\n")
+
     def test_empty_input_fails(self, trained_dir, capsys):
         out, _ = trained_dir
         assert run(["predict", "--checkpoint", str(out / "checkpoint.bin"),

@@ -1,5 +1,6 @@
 import gc
 import io
+import math
 import os
 import struct
 import tracemalloc
@@ -238,8 +239,11 @@ class TestAdam:
 
     @pytest.mark.parametrize("l2", [0.0, 0.01])
     def test_blocked_update_equals_whole_array_update(self, l2):
-        # the textbook update over whole arrays, in the same order of operations
+        # the efficient-form update over whole arrays, in the same order of
+        # operations: p -= a_t * m / (sqrt(v) + eps_t)
         def whole_array_step(values, grad, m, v, t, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
+            root_bc2 = math.sqrt(1.0 - b2 ** t)
+            step_size = lr * root_bc2 / (1.0 - b1 ** t)
             g = np.add(grad, np.multiply(values, l2)) if l2 else grad
             m *= b1
             m += np.multiply(g, 1.0 - b1)
@@ -247,10 +251,9 @@ class TestAdam:
             g2 = np.multiply(g, g)
             g2 *= 1.0 - b2
             v += g2
-            step = np.divide(m, 1.0 - b1 ** t)
-            step *= lr
-            denom = np.sqrt(np.divide(v, 1.0 - b2 ** t))
-            denom += eps
+            denom = np.sqrt(v)
+            denom += eps * root_bc2
+            step = np.multiply(m, step_size)
             step /= denom
             values -= step
 
@@ -274,6 +277,40 @@ class TestAdam:
             for n, p in params.items():
                 assert np.array_equal(p.values, ref[n][0]), f"{n} at step {t}"
                 assert np.array_equal(p.grad, grads[n]), "the optimizer wrote into a gradient"
+
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    def test_fifty_blocked_steps_match_algorithm_1(self, l2):
+        # Algorithm 1 of Kingma & Ba written out literally, in float64
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        rng = Rng(42)
+        shapes = {"big": (2 * tr._ADAM_BLOCK + 17,), "small": (5, 3)}
+        params = {n: ad.parameter(rng.uniform(-1, 1, s)) for n, s in shapes.items()}
+        params["small"].values[0] = 0.0
+        ref = {n: [p.values.copy(), np.zeros(s), np.zeros(s)]
+               for (n, p), s in zip(params.items(), shapes.values())}
+        opt = Adam(list(params.items()), lr=lr, l2_decay=l2,
+                   frozen_rows=[(params["small"], 0)])
+        for t in range(1, 51):
+            for n, p in params.items():
+                p.zero_grad()
+                p.grad[...] = rng.uniform(-1, 1, shapes[n])
+                theta, m, v = ref[n]
+                g = p.grad + l2 * theta
+                m[...] = b1 * m + (1 - b1) * g
+                v[...] = b2 * v + (1 - b2) * g * g
+                m_hat = m / (1 - b1 ** t)
+                v_hat = v / (1 - b2 ** t)
+                theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            ref["small"][0][0] = 0.0
+            opt.step()
+        for n, p in params.items():
+            theta, m, v = ref[n]
+            np.testing.assert_allclose(p.values, theta, rtol=1e-12, atol=0, err_msg=n)
+            # a moment can cancel to near zero, so its tolerance is relative
+            # to the moment's largest entry
+            for got, want in ((opt.m[n], m), (opt.v[n], v)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
+        assert np.array_equal(params["small"].values[0], np.zeros(3))
 
     def test_frozen_row_stays_zero(self):
         p = ad.parameter(np.ones((3, 2)))
