@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -281,56 +282,76 @@ def slot_lexicon(intent_idx: int, type_idx: int, size: int) -> list[str]:
     return [f"{slot_type_name(intent_idx, type_idx)}v{k}" for k in range(size)]
 
 
-def _gen_sample(spec: SynthSpec, rng: Rng) -> Sample:
-    def draw(low: int, high: int) -> int:
-        # a Python int: formatting a numpy integer into token names is slower
-        return int(rng.integers(low, high))
+class _SynthStrings(NamedTuple):
+    """Every string a generated corpus holds, formatted once per corpus."""
 
-    intent_idx = draw(0, spec.n_intents)
-    n_spans = draw(1, 3)
-    span_lens = [draw(1, 3) for _ in range(n_spans)]
-    span_types = [draw(0, spec.slot_types_per_intent) for _ in range(n_spans)]
-    length = draw(spec.min_len, spec.max_len + 1)
+    fillers: list[str]                # [k] -> "w{k}"
+    lexicons: list[list[list[str]]]   # [intent][slot type] -> slot_lexicon(...)
+    span_tags: list[list[tuple[str, str]]]  # [intent][slot type] -> ("B-s{i}t{j}", "I-s{i}t{j}")
+    intents: list[str]                # [i] -> "intent{i}"
+
+
+def _synth_strings(spec: SynthSpec) -> _SynthStrings:
+    intents, types = range(spec.n_intents), range(spec.slot_types_per_intent)
+    return _SynthStrings(
+        fillers=[f"w{k}" for k in range(spec.filler_vocab_size)],
+        lexicons=[[slot_lexicon(i, j, spec.lexicon_size) for j in types] for i in intents],
+        span_tags=[[("B-" + slot_type_name(i, j), "I-" + slot_type_name(i, j)) for j in types]
+                   for i in intents],
+        intents=[f"intent{i}" for i in intents])
+
+
+def _gen_sample(spec: SynthSpec, rng: Rng, strings: _SynthStrings) -> Sample:
+    # every draw is one scalar call, in this order and with these bounds, so a
+    # spec and seed always give the same corpus; draws that only index a table
+    # stay numpy ints
+    integers, random = rng.integers, rng.random
+    intent_idx = int(integers(0, spec.n_intents))
+    n_spans = int(integers(1, 3))
+    span_lens = [int(integers(1, 3)) for _ in range(n_spans)]
+    span_types = [int(integers(0, spec.slot_types_per_intent)) for _ in range(n_spans)]
+    length = int(integers(spec.min_len, spec.max_len + 1))
     # one filler between consecutive spans keeps every BIO boundary decodable
     min_needed = sum(span_lens) + (n_spans - 1)
-    length = max(length, min_needed)
-    extra = length - min_needed
-    gaps = np.zeros(n_spans + 1, dtype=np.int64)
-    gaps[1:-1] = 1
+    extra = max(length, min_needed) - min_needed
+    gaps = [0] + [1] * (n_spans - 1) + [0]
     if extra > 0:
-        picks = rng.integers(0, n_spans + 1, size=extra)
-        gaps += np.bincount(picks, minlength=n_spans + 1)
+        for g in integers(0, n_spans + 1, size=extra).tolist():
+            gaps[g] += 1
 
+    fillers, n_fillers = strings.fillers, spec.filler_vocab_size
+    n_types, n_lex, purity = spec.slot_types_per_intent, spec.lexicon_size, spec.purity
     tokens: list[str] = []
     tags: list[str] = []
 
     def emit_fillers(count: int) -> None:
         for _ in range(count):
-            tokens.append(f"w{draw(0, spec.filler_vocab_size)}")
+            tokens.append(fillers[integers(0, n_fillers)])
             tags.append("O")
 
     for k in range(n_spans):
-        emit_fillers(int(gaps[k]))
+        emit_fillers(gaps[k])
         stype = span_types[k]
+        own_lex = strings.lexicons[intent_idx][stype]
+        begin, inside = strings.span_tags[intent_idx][stype]
         for pos in range(span_lens[k]):
-            if rng.random() < spec.purity:
-                src_intent, src_type = intent_idx, stype
+            if random() < purity:
+                lex = own_lex
             else:
-                src_intent = draw(0, spec.n_intents - 1)
+                src_intent = int(integers(0, spec.n_intents - 1))
                 if src_intent >= intent_idx:
                     src_intent += 1
-                src_type = draw(0, spec.slot_types_per_intent)
-            lex = slot_lexicon(src_intent, src_type, spec.lexicon_size)
-            tokens.append(lex[draw(0, spec.lexicon_size)])
-            tags.append(("B-" if pos == 0 else "I-") + slot_type_name(intent_idx, stype))
-    emit_fillers(int(gaps[-1]))
-    return Sample(tokens, tags, f"intent{intent_idx}")
+                lex = strings.lexicons[src_intent][integers(0, n_types)]
+            tokens.append(lex[integers(0, n_lex)])
+            tags.append(inside if pos else begin)
+    emit_fillers(gaps[-1])
+    return Sample(tokens, tags, strings.intents[intent_idx])
 
 
 def generate_synthetic(spec: SynthSpec) -> Corpus:
     spec.validate()
     rng = Rng(spec.seed)
-    splits = []
-    for count in (spec.train_samples, spec.dev_samples, spec.test_samples):
-        splits.append([_gen_sample(spec, rng) for _ in range(count)])
+    strings = _synth_strings(spec)
+    splits = [[_gen_sample(spec, rng, strings) for _ in range(count)]
+              for count in (spec.train_samples, spec.dev_samples, spec.test_samples)]
     return Corpus(train=splits[0], dev=splits[1], test=splits[2])

@@ -320,7 +320,7 @@ def save_checkpoint(path: str, model: JointModel, config: dict, vocab: Vocab) ->
                 arr = np.ascontiguousarray(tensor.values, dtype=np.float64)
                 f.write(struct.pack("<B", arr.ndim))
                 f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-                f.write(arr.tobytes())
+                f.write(arr)    # from the tensor's own buffer, with no bytes copy
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -28,6 +28,7 @@ def tool():
     with pytest.MonkeyPatch.context() as mp:
         module = load_tool()
         mp.setattr(module, "SIZES", {"tiny": TINY})
+        mp.setattr(module, "CHECKPOINT_RUN", "tiny/default/")
         yield module
 
 
@@ -54,6 +55,8 @@ def test_record_keys(tool, corpus_vocab, records):
         names = [name for name, _ in model.parameters(active_only=False)]
         want = {prefix + k for k in ("y_slot", "y_intent", "losses", "dev_report",
                                      "test_report", "served_dev_report")}
+        if flag_set == "default":
+            want.add(prefix + "checkpoint")
         assert set(record) == want | {prefix + "grad/" + name for name in names}
         assert record[prefix + "losses"].shape == (TINY[3],)
         assert np.isfinite(record[prefix + "losses"]).all()
@@ -109,3 +112,35 @@ def test_compare_reports_each_differing_key(tool, records, tmp_path, capsys):
     assert tool.compare(short, same) == 1
     assert capsys.readouterr().out == (f"{missing}: only in {same}\n"
                                        f"1 of {len(record)} keys differ\n")
+
+
+def test_checkpoint_key_holds_the_saved_file(tool, records, tmp_path):
+    path = tmp_path / "checkpoint.bin"
+    path.write_bytes(records["default"]["tiny/default/checkpoint"].tobytes())
+    ckpt = tr.load_checkpoint(str(path))
+    assert ckpt.config == {"seed": tool.SEED}
+    assert set(ckpt.tensors) == {k[len("tiny/default/grad/"):]
+                                 for k in records["default"] if "/grad/" in k}
+
+
+def test_compare_reports_a_changed_corpus(tool, tmp_path, capsys):
+    spec = dat.SynthSpec(train_samples=12, dev_samples=3, test_samples=3, seed=4)
+    record = tool.record_corpus("tiny", spec)
+    assert set(record) == {f"corpus/tiny/{split}/{file}" for split in ("train", "dev", "test")
+                           for file in ("seq.in", "seq.out", "label")}
+    corpus = dat.generate_synthetic(spec)
+    assert record["corpus/tiny/dev/label"].tobytes().decode("utf-8").split() == \
+        [s.intent for s in corpus.dev]
+    same, other = str(tmp_path / "same.npz"), str(tmp_path / "other.npz")
+    np.savez(same, **record)
+    assert tool.compare(same, same) == 0
+    capsys.readouterr()
+
+    # the first token of the corpus renamed
+    key = "corpus/tiny/train/seq.in"
+    text = record[key].tobytes().decode("utf-8")
+    changed = dict(record)
+    changed[key] = np.frombuffer(("x" + text).encode("utf-8"), dtype=np.uint8)
+    np.savez(other, **changed)
+    assert tool.compare(other, same) == 1
+    assert capsys.readouterr().out == f"{key}: differs\n1 of {len(record)} keys differ\n"

@@ -3,8 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointslu import data as dat
+from jointslu.autodiff import Rng
 from jointslu.data import CorpusFormatError
 
 
@@ -301,3 +304,113 @@ class TestSyntheticGenerator:
         # two 2-token spans and the filler between them need 5 tokens
         with pytest.raises(ValueError, match="max_len must be >= 5"):
             dat.generate_synthetic(dat.SynthSpec(max_len=4))
+
+
+# The generator as it was before its strings were formatted once per corpus.
+# It formats every string where it is used; the stream of draws it makes is the
+# one every generated corpus is pinned to.
+def reference_sample(spec: dat.SynthSpec, rng: Rng) -> dat.Sample:
+    def draw(low: int, high: int) -> int:
+        return int(rng.integers(low, high))
+
+    intent_idx = draw(0, spec.n_intents)
+    n_spans = draw(1, 3)
+    span_lens = [draw(1, 3) for _ in range(n_spans)]
+    span_types = [draw(0, spec.slot_types_per_intent) for _ in range(n_spans)]
+    length = draw(spec.min_len, spec.max_len + 1)
+    min_needed = sum(span_lens) + (n_spans - 1)
+    length = max(length, min_needed)
+    extra = length - min_needed
+    gaps = np.zeros(n_spans + 1, dtype=np.int64)
+    gaps[1:-1] = 1
+    if extra > 0:
+        picks = rng.integers(0, n_spans + 1, size=extra)
+        gaps += np.bincount(picks, minlength=n_spans + 1)
+
+    tokens: list[str] = []
+    tags: list[str] = []
+
+    def emit_fillers(count: int) -> None:
+        for _ in range(count):
+            tokens.append(f"w{draw(0, spec.filler_vocab_size)}")
+            tags.append("O")
+
+    for k in range(n_spans):
+        emit_fillers(int(gaps[k]))
+        stype = span_types[k]
+        for pos in range(span_lens[k]):
+            if rng.random() < spec.purity:
+                src_intent, src_type = intent_idx, stype
+            else:
+                src_intent = draw(0, spec.n_intents - 1)
+                if src_intent >= intent_idx:
+                    src_intent += 1
+                src_type = draw(0, spec.slot_types_per_intent)
+            lex = dat.slot_lexicon(src_intent, src_type, spec.lexicon_size)
+            tokens.append(lex[draw(0, spec.lexicon_size)])
+            tags.append(("B-" if pos == 0 else "I-") + dat.slot_type_name(intent_idx, stype))
+    emit_fillers(int(gaps[-1]))
+    return dat.Sample(tokens, tags, f"intent{intent_idx}")
+
+
+def reference_synthetic(spec: dat.SynthSpec) -> dat.Corpus:
+    spec.validate()
+    rng = Rng(spec.seed)
+    splits = [[reference_sample(spec, rng) for _ in range(count)]
+              for count in (spec.train_samples, spec.dev_samples, spec.test_samples)]
+    return dat.Corpus(train=splits[0], dev=splits[1], test=splits[2])
+
+
+def assert_same_corpus(spec: dat.SynthSpec) -> None:
+    got, want = dat.generate_synthetic(spec), reference_synthetic(spec)
+    for split in ("train", "dev", "test"):
+        assert ([(s.tokens, s.slot_tags, s.intent) for s in got.split(split)]
+                == [(s.tokens, s.slot_tags, s.intent) for s in want.split(split)]), split
+
+
+SMALL = dict(train_samples=300, dev_samples=40, test_samples=40)
+
+
+class TestGeneratorOracle:
+    """``generate_synthetic`` draws the reference generator's stream and
+    returns its corpus, split by split."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_default_spec(self, seed):
+        assert_same_corpus(dat.SynthSpec(seed=seed))
+
+    @pytest.mark.parametrize("spec", [
+        dat.SynthSpec(purity=0.0, seed=2, **SMALL),
+        dat.SynthSpec(purity=0.6, seed=3, **SMALL),
+        dat.SynthSpec(min_len=6, max_len=6, seed=4, **SMALL),
+        dat.SynthSpec(n_intents=2, seed=5, **SMALL),
+    ], ids=["purity_0", "purity_0.6", "fixed_length", "two_intents"])
+    def test_edge_specs(self, spec):
+        assert_same_corpus(spec)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_valid_spec(self, data):
+        min_len = data.draw(st.integers(1, 12), label="min_len")
+        spec = dat.SynthSpec(
+            n_intents=data.draw(st.integers(2, 6), label="n_intents"),
+            slot_types_per_intent=data.draw(st.integers(1, 4), label="slot_types_per_intent"),
+            lexicon_size=data.draw(st.integers(1, 8), label="lexicon_size"),
+            filler_vocab_size=data.draw(st.integers(1, 40), label="filler_vocab_size"),
+            min_len=min_len,
+            max_len=data.draw(st.integers(max(min_len, 5), 16), label="max_len"),
+            train_samples=data.draw(st.integers(1, 12), label="train_samples"),
+            dev_samples=data.draw(st.integers(1, 4), label="dev_samples"),
+            test_samples=data.draw(st.integers(1, 4), label="test_samples"),
+            purity=data.draw(st.floats(0.0, 1.0), label="purity"),
+            seed=data.draw(st.integers(0, 2 ** 64 - 1), label="seed"))
+        assert_same_corpus(spec)
+
+    def test_one_string_object_per_distinct_string(self):
+        corpus = dat.generate_synthetic(dat.SynthSpec(purity=0.6))
+        by_text: dict[str, set[int]] = {}
+        for split in ("train", "dev", "test"):
+            for s in corpus.split(split):
+                for text in (*s.tokens, *s.slot_tags, s.intent):
+                    by_text.setdefault(text, set()).add(id(text))
+        assert all(len(ids) == 1 for ids in by_text.values())

@@ -581,6 +581,19 @@ class TestCheckpoint:
         tr.save_checkpoint(str(path2), rebuilt, config, ckpt.vocab)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_save_writes_tensors_without_copying_them(self, tmp_path, small_synth):
+        _, vocab = small_synth
+        model = tiny_model(vocab, hidden=192)
+        assert max(t.values.nbytes for _, t in model.parameters()) >= 1 << 20
+        path = tmp_path / "model.ckpt"
+        tracemalloc.start()
+        try:
+            tr.save_checkpoint(str(path), model, {"seed": 11}, vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
     def test_ablated_checkpoint_omits_disabled_params(self, tmp_path, small_synth):
         _, vocab = small_synth
         model = tiny_model(vocab, flags=AblationFlags(intent2slot=False))

@@ -1,10 +1,12 @@
 """Record a fixed set of short training runs, and compare two such records.
 
-Record each tree with its own copy of this tool, e.g. the parent's from a ``git worktree``
-in ../parent: older trees lack ``training.train_step``. Every copy writes the same keys:
+Record both trees with the newest copy of this tool, e.g. with the parent
+unpacked by ``git archive`` into ../parent. A tree without
+``training.train_step`` needs its own copy, which lacks the corpus and
+checkpoint keys, so those read "only in" the newer record:
 
     PYTHONPATH=src python tools/compare_runs.py after.npz
-    cd ../parent && PYTHONPATH=src python tools/compare_runs.py /tmp/before.npz
+    PYTHONPATH=../parent/src python tools/compare_runs.py /tmp/before.npz
     PYTHONPATH=src python tools/compare_runs.py after.npz --against /tmp/before.npz
 
 The first form writes an ``.npz`` with, for each size and each flag set, the
@@ -18,7 +20,11 @@ Flag sets: the defaults and each ablation switch alone, at lambda 0.5. One
 more run, keyed ``small/lambda_0.3/``, trains the small defaults at lambda 0.3:
 0.3 and 0.7 are not powers of two, so a change in how the loss applies lambda
 shows there. Every run trains with dropout 0.4 and teacher forcing 0.9 on the
-default synthetic corpus.
+default synthetic corpus. The saved checkpoint of the small defaults is kept
+too, as its bytes (``small/default/checkpoint``), and so is each file that
+``write_corpus`` writes for the default corpus and for one at purity 0.6
+(``corpus/<name>/<split>/<file>``, the UTF-8 text as bytes), so a change in the
+generator, the corpus writer or the checkpoint format shows as its own key.
 
 With ``--against`` it reads both files instead, prints each key that differs
 with its relative difference (max |a - b| over the larger of max |a| and
@@ -47,6 +53,24 @@ FLAG_SETS = ["default", "no_slot2intent", "no_intent2slot", "no_gaussian_attenti
 RUNS = ([(size, flag_set, 0.5, f"{size}/{flag_set}/") for size in SIZES for flag_set in FLAG_SETS]
         + [("small", "default", 0.3, "small/lambda_0.3/")])
 SEED = 1
+CHECKPOINT_RUN = "small/default/"    # the run whose saved checkpoint is kept as bytes
+CORPORA = {"default": dat.SynthSpec(), "purity_0.6": dat.SynthSpec(purity=0.6)}
+
+
+def file_bytes(path: str) -> np.ndarray:
+    with open(path, "rb") as f:
+        return np.frombuffer(f.read(), dtype=np.uint8)
+
+
+def record_corpus(name: str, spec: dat.SynthSpec) -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        dat.write_corpus(dat.generate_synthetic(spec), tmp)
+        for split in dat.SPLIT_DIRS:
+            for file in ("seq.in", "seq.out", "label"):
+                out[f"corpus/{name}/{split}/{file}"] = file_bytes(
+                    os.path.join(dat.split_dir(tmp, split), file))
+    return out
 
 
 def record_run(corpus: dat.Corpus, vocab: dat.Vocab, size: str, flag_set: str,
@@ -85,6 +109,8 @@ def record_run(corpus: dat.Corpus, vocab: dat.Vocab, size: str, flag_set: str,
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "checkpoint.bin")
         tr.save_checkpoint(path, model, {"seed": SEED}, vocab)
+        if prefix == CHECKPOINT_RUN:
+            out[prefix + "checkpoint"] = file_bytes(path)
         served = tr.load_checkpoint(path).build_model()
     report = tr.evaluate_model(served, corpus.dev, vocab, cfg.batch_size)
     out[prefix + "served_dev_report"] = np.array(report.to_text())
@@ -95,6 +121,8 @@ def record(path: str) -> None:
     corpus = dat.generate_synthetic(dat.SynthSpec())
     vocab = dat.build_vocabs(corpus)
     arrays = {}
+    for name, spec in CORPORA.items():
+        arrays.update(record_corpus(name, spec))
     for run in RUNS:
         arrays.update(record_run(corpus, vocab, *run))
     np.savez(path, **arrays)
