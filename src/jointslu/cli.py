@@ -176,15 +176,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not tokens:
         raise ValueError("empty input utterance")
     ckpt = tr.load_checkpoint(args.checkpoint)
-    model = ckpt.build_model()
-    # placeholder gold labels from the checkpoint's own vocabulary; an
-    # unrecorded forward does not read them
-    sample = dat.Sample(tokens=tokens, slot_tags=[ckpt.vocab.slot_tags[0]] * len(tokens),
-                        intent=ckpt.vocab.intents[0])
-    batch = dat.pad_batch([sample], ckpt.vocab)
-    result = model.forward(batch, training=False)
-    tags = [ckpt.vocab.slot_tags[j] for j in result.slot_predictions()[0]]
-    intent = ckpt.vocab.intents[result.intent_predictions()[0]]
+    (intent,), (tags,) = tr.predict(ckpt.build_model(), [tokens], ckpt.vocab)
     print("tags = " + " ".join(tags))
     print("intent = " + intent)
     return 0

@@ -172,28 +172,12 @@ class Vocab:
 def build_vocabs(corpus: Corpus) -> Vocab:
     if not corpus.train:
         raise ValueError("training split is empty")
-    words = [PAD_TOKEN, UNK_TOKEN]
-    seen = set(words)
-    for s in corpus.train:
-        for tok in s.tokens:
-            folded = tok.casefold()
-            if folded not in seen:
-                seen.add(folded)
-                words.append(folded)
-    tags: list[str] = []
-    tag_seen = set()
-    intents: list[str] = []
-    intent_seen = set()
-    for split in ("train", "dev", "test"):
-        for s in corpus.split(split):
-            for tag in s.slot_tags:
-                if tag not in tag_seen:
-                    tag_seen.add(tag)
-                    tags.append(tag)
-            if s.intent not in intent_seen:
-                intent_seen.add(s.intent)
-                intents.append(s.intent)
-    return Vocab(words=words, slot_tags=tags, intents=intents)
+    words = dict.fromkeys([PAD_TOKEN, UNK_TOKEN]
+                          + [tok.casefold() for s in corpus.train for tok in s.tokens])
+    samples = [s for split in ("train", "dev", "test") for s in corpus.split(split)]
+    tags = dict.fromkeys(tag for s in samples for tag in s.slot_tags)
+    intents = dict.fromkeys(s.intent for s in samples)
+    return Vocab(words=list(words), slot_tags=list(tags), intents=list(intents))
 
 
 @dataclass
@@ -201,7 +185,8 @@ class UtteranceBatch:
     """Padded token-id matrix plus gold labels and a validity mask.
 
     Positions at or beyond a row's length carry the pad token id and the
-    slot-id sentinel, and are False in the mask.
+    slot-id sentinel, and are False in the mask. An unlabelled batch carries
+    the sentinel as every slot and intent id.
     """
 
     token_ids: np.ndarray   # [B, T] int
@@ -218,20 +203,29 @@ def _label_ids(to_id: dict[str, int], labels: list[str], kind: str) -> list[int]
                          f"vocabulary ({len(to_id)} {kind}s)") from None
 
 
-def pad_batch(samples: list[Sample], vocab: Vocab) -> UtteranceBatch:
-    if not samples:
-        raise ValueError("cannot batch an empty sample list")
-    lengths = np.array([len(s.tokens) for s in samples], dtype=np.int64)
-    B, T = len(samples), int(lengths.max())
+def pad_tokens(utterances: list[list[str]], vocab: Vocab) -> UtteranceBatch:
+    """An unlabelled batch of token lists: every slot and intent id is the
+    sentinel ``PAD_SLOT_ID``. It can only be predicted on: both losses reject
+    the sentinel, and teacher forcing reads a zero row for it."""
+    if not utterances:
+        raise ValueError("cannot batch an empty utterance list")
+    lengths = np.array([len(tokens) for tokens in utterances], dtype=np.int64)
+    B, T = len(utterances), int(lengths.max())
     token_ids = np.full((B, T), PAD_ID, dtype=np.int64)
-    slot_ids = np.full((B, T), PAD_SLOT_ID, dtype=np.int64)
-    intent_ids = np.zeros(B, dtype=np.int64)
-    for i, s in enumerate(samples):
-        token_ids[i, : lengths[i]] = [vocab.word_id(t) for t in s.tokens]
-        slot_ids[i, : lengths[i]] = _label_ids(vocab.tag_to_id, s.slot_tags, "slot tag")
-        intent_ids[i] = _label_ids(vocab.intent_to_id, [s.intent], "intent")[0]
+    for i, tokens in enumerate(utterances):
+        token_ids[i, : lengths[i]] = [vocab.word_id(t) for t in tokens]
     mask = np.arange(T)[None, :] < lengths[:, None]
-    return UtteranceBatch(token_ids, slot_ids, intent_ids, mask)
+    return UtteranceBatch(token_ids, np.full((B, T), PAD_SLOT_ID, dtype=np.int64),
+                          np.full(B, PAD_SLOT_ID, dtype=np.int64), mask)
+
+
+def pad_batch(samples: list[Sample], vocab: Vocab) -> UtteranceBatch:
+    """``pad_tokens`` of the samples' tokens, with their gold labels looked up."""
+    batch = pad_tokens([s.tokens for s in samples], vocab)
+    for i, s in enumerate(samples):
+        batch.slot_ids[i, : len(s.tokens)] = _label_ids(vocab.tag_to_id, s.slot_tags, "slot tag")
+        batch.intent_ids[i] = _label_ids(vocab.intent_to_id, [s.intent], "intent")[0]
+    return batch
 
 
 @dataclass

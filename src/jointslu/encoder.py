@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Rng, ShapeError, Tensor
+from .data import PAD_ID
 
 
 @dataclass
@@ -57,11 +58,10 @@ class GaussianAttentionParams:
 # The initializers take ``rng=None`` for a model whose values will be loaded:
 # every parameter is then all zeros and nothing is drawn.
 
-def init_embedding(vocab_size: int, emb_dim: int, rng: Rng | None,
-                   pad_id: int = 0) -> EmbeddingTable:
+def init_embedding(vocab_size: int, emb_dim: int, rng: Rng | None) -> EmbeddingTable:
     table = ad.uniform_parameter(rng, 1.0 / np.sqrt(emb_dim), (vocab_size, emb_dim))
-    table.values[pad_id, :] = 0.0
-    return EmbeddingTable(table=table, pad_id=pad_id)
+    table.values[PAD_ID, :] = 0.0
+    return EmbeddingTable(table=table, pad_id=PAD_ID)
 
 
 def init_lstm(input_size: int, hidden: int, rng: Rng | None) -> LstmParams:
@@ -81,11 +81,7 @@ def init_gaussian_attention(rng: Rng | None) -> GaussianAttentionParams:
 
 
 def embed(token_ids: np.ndarray, table: EmbeddingTable) -> Tensor:
-    ids = np.asarray(token_ids, dtype=np.intp).reshape(-1)
-    if ids.size and ids.max() >= table.table.shape[0]:
-        raise IndexError(f"token id {int(ids.max())} out of range for "
-                         f"vocabulary of {table.table.shape[0]}")
-    return ad.take_rows(table.table, ids)
+    return ad.take_rows(table.table, np.asarray(token_ids, dtype=np.intp).reshape(-1))
 
 
 def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams) -> tuple[Tensor, Tensor]:

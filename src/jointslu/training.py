@@ -20,7 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics as met
 from .autodiff import Rng, Tape, Tensor
-from .data import PAD_TOKEN, UNK_TOKEN, Corpus, Sample, UtteranceBatch, Vocab, pad_batch
+from .data import (PAD_TOKEN, UNK_TOKEN, Corpus, Sample, UtteranceBatch, Vocab, pad_batch,
+                   pad_tokens)
 from .model import AblationFlags, ForwardResult, JointModel, ModelDims, build_model
 
 
@@ -76,13 +77,8 @@ def slot_loss(z_slot: Tensor, slot_ids: np.ndarray, mask: np.ndarray,
     """``weight`` times the sum of -log p(gold slot) over unmasked tokens of the
     whole batch; the logits z_slot are time-major [T*B, n_slots], slot_ids and
     mask are [B, T]."""
-    n_slots = z_slot.shape[1]
-    ids = slot_ids.T.reshape(-1)
     valid = mask.T.reshape(-1)
-    bad = np.flatnonzero(valid & ((ids < 0) | (ids >= n_slots)))
-    if bad.size:
-        raise IndexError(f"gold slot id out of range at step {bad[0] // slot_ids.shape[0]}")
-    return ad.cross_entropy(z_slot, np.where(valid, ids, 0), weight * valid)
+    return ad.cross_entropy(z_slot, np.where(valid, slot_ids.T.reshape(-1), 0), weight * valid)
 
 
 def intent_loss(z_intent: Tensor, intent_ids: np.ndarray, weight: float = 1.0) -> Tensor:
@@ -209,33 +205,41 @@ def derive_streams(seed: int) -> tuple[Rng, Rng, Rng, Rng]:
     return tuple(Rng(seed).split(4))
 
 
-def evaluate_model(model: JointModel, samples: list[Sample], vocab: Vocab,
-                   batch_size: int = 16) -> met.MetricsReport:
-    """Deterministic evaluation: no dropout, no teacher forcing, no recording.
+def predict(model: JointModel, utterances: list[list[str]], vocab: Vocab,
+            batch_size: int = 16) -> tuple[list[str], list[list[str]]]:
+    """The predicted intent and slot tags of each token list, in input order,
+    from deterministic forwards: no dropout, no teacher forcing, no recording.
 
-    The samples are stably sorted by token count and that order is cut into
+    The utterances are stably sorted by token count and that order is cut into
     forwards of at most ``batch_size`` utterances, so utterances of similar
-    length share a batch and little padding is run. Each prediction is
-    written back to its sample's
-    position, and the report is computed in input order. An empty sample list
-    is a ValueError."""
+    length share a batch and little padding is run. Each prediction is written
+    back to its utterance's position."""
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
-    if not samples:
-        raise ValueError("no samples to evaluate")
-    order = sorted(range(len(samples)), key=lambda i: len(samples[i].tokens))
-    pred_intents: list[str] = [""] * len(samples)
-    pred_tags: list[list[str]] = [[] for _ in samples]
+    order = sorted(range(len(utterances)), key=lambda i: len(utterances[i]))
+    intents: list[str] = [""] * len(utterances)
+    tags: list[list[str]] = [[] for _ in utterances]
     for start in range(0, len(order), batch_size):
         rows = order[start: start + batch_size]
-        result = model.forward(pad_batch([samples[i] for i in rows], vocab), training=False)
+        result = model.forward(pad_tokens([utterances[i] for i in rows], vocab), training=False)
         slot_pred = result.slot_predictions()
         intent_pred = result.intent_predictions()
         for k, i in enumerate(rows):
-            pred_intents[i] = vocab.intents[intent_pred[k]]
-            pred_tags[i] = [vocab.slot_tags[j] for j in slot_pred[k, : len(samples[i].tokens)]]
-    return met.compute_report([s.intent for s in samples], pred_intents,
-                              [list(s.slot_tags) for s in samples], pred_tags)
+            intents[i] = vocab.intents[intent_pred[k]]
+            tags[i] = [vocab.slot_tags[j] for j in slot_pred[k, : len(utterances[i])]]
+    return intents, tags
+
+
+def evaluate_model(model: JointModel, samples: list[Sample], vocab: Vocab,
+                   batch_size: int = 16) -> met.MetricsReport:
+    """The report of ``predict`` on the samples' tokens against their gold
+    labels, in input order. A gold label missing from the vocabulary counts as
+    wrong. An empty sample list is a ValueError."""
+    if not samples:
+        raise ValueError("no samples to evaluate")
+    intents, tags = predict(model, [s.tokens for s in samples], vocab, batch_size)
+    return met.compute_report([s.intent for s in samples], intents,
+                              [list(s.slot_tags) for s in samples], tags)
 
 
 def epoch_batches(samples: list[Sample], vocab: Vocab, batch_size: int,
@@ -340,9 +344,17 @@ class Checkpoint:
         """The model these tensors describe. Nothing is drawn: the model is
         built all zeros and adopts the checkpoint's arrays without a copy, so
         it shares memory with ``tensors``; inactive parameters stay zero. A
-        missing, extra or misshapen tensor raises a ValueError naming the file."""
-        model = build_model(self.dims, self.flags, rng=None)
+        missing, extra or misshapen tensor raises a ValueError naming the file.
+        The header's emb_dim and hidden are checked first, against two tensors
+        every model has, so nothing is allocated from an unconfirmed dim."""
+        d = self.dims
         try:
+            for name, shape in (("embedding.table", (d.vocab_size, d.emb_dim)),
+                                ("encoder.fwd.w_h", (4 * d.hidden, d.hidden))):
+                got = self.tensors[name].shape if name in self.tensors else "missing"
+                if got != shape:
+                    raise ValueError(f"{name} is {got}, the header's dims give {shape}")
+            model = build_model(self.dims, self.flags, rng=None)
             model.load_values(self.tensors)
         except ValueError as e:
             raise ValueError(f"{self.path}: checkpoint does not fit its model: {e}") from None

@@ -689,6 +689,18 @@ class TestCorruptCheckpoint:
         code, err = self.predict(trained_dir, edited)
         assert code == 1 and "corrupt.bin" in err and "more than" in err
 
+    @pytest.mark.parametrize("dim", ["hidden", "emb_dim"])
+    def test_header_dims_that_disagree_with_the_tensors_fail_cleanly(self, trained_dir, dim):
+        # built from the header's dims, the model would need terabytes
+        good = (trained_dir[0] / "checkpoint.bin").read_bytes()
+        (header_len,) = struct.unpack("<Q", good[8:16])
+        header = json.loads(good[16:16 + header_len])
+        header["dims"][dim] = 10 ** 9
+        raw = json.dumps(header, sort_keys=True).encode("utf-8")
+        edited = good[:8] + struct.pack("<Q", len(raw)) + raw + good[16 + header_len:]
+        code, err = self.predict(trained_dir, edited)
+        assert code == 1 and "corrupt.bin" in err and "does not fit its model" in err
+
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_flipped_byte_never_raises(self, trained_dir, data):

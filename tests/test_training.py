@@ -473,10 +473,25 @@ class TestEpochBatches:
                 assert np.array_equal(getattr(batch, field), getattr(want, field)), field
 
 
+def evaluate_entry(model, samples, vocab, batch_size):
+    return tr.evaluate_model(model, samples, vocab, batch_size)
+
+
+def predict_entry(model, samples, vocab, batch_size):
+    return tr.predict(model, [s.tokens for s in samples], vocab, batch_size)
+
+
+# evaluate_model and predict cut and order their forwards the same way; an
+# evaluate_model case is named by its batch size alone
+ENTRIES = pytest.mark.parametrize("entry,batch_size", [
+    *(pytest.param(evaluate_entry, size, id=str(size)) for size in (1, 5, 16, 40)),
+    *(pytest.param(predict_entry, size, id=f"predict-{size}") for size in (1, 5, 16, 40))])
+
+
 class TestEvaluateModel:
-    @pytest.mark.parametrize("batch_size", [1, 5, 16, 40])
+    @ENTRIES
     def test_batches_are_chunks_of_the_stable_length_order(self, small_synth, monkeypatch,
-                                                           batch_size):
+                                                           entry, batch_size):
         corpus, vocab = small_synth
         samples = corpus.train
         model = tiny_model(vocab)
@@ -488,7 +503,7 @@ class TestEvaluateModel:
             return forward(batch, **kwargs)
 
         monkeypatch.setattr(model, "forward", spy)
-        tr.evaluate_model(model, samples, vocab, batch_size)
+        entry(model, samples, vocab, batch_size)
         by_length = sorted(samples, key=lambda s: len(s.tokens))
         chunks = [by_length[lo: lo + batch_size] for lo in range(0, len(samples), batch_size)]
         assert len(batches) == len(chunks) == -(-len(samples) // batch_size)
@@ -496,7 +511,8 @@ class TestEvaluateModel:
             assert batch.token_ids.shape == (len(chunk), max(len(s.tokens) for s in chunk))
             assert np.array_equal(batch.token_ids, dat.pad_batch(chunk, vocab).token_ids)
 
-    def test_report_is_that_of_input_order(self, small_synth):
+    @ENTRIES
+    def test_result_is_that_of_input_order(self, small_synth, entry, batch_size):
         corpus, vocab = small_synth
         samples = corpus.train
         model = tiny_model(vocab)
@@ -506,16 +522,58 @@ class TestEvaluateModel:
             result = model.forward(dat.pad_batch([s], vocab), training=False)
             pred_intents.append(vocab.intents[result.intent_predictions()[0]])
             pred_tags.append([vocab.slot_tags[j] for j in result.slot_predictions()[0]])
-        want = met.compute_report([s.intent for s in samples], pred_intents,
-                                  [list(s.slot_tags) for s in samples], pred_tags)
-        assert tr.evaluate_model(model, samples, vocab, 16) == want
-        assert tr.evaluate_model(model, samples, vocab, 1) == want
-        assert tr.evaluate_model(model, samples[::-1], vocab, 16) == want
+
+        def want(order):
+            intents, tags = [pred_intents[i] for i in order], [pred_tags[i] for i in order]
+            if entry is predict_entry:
+                return intents, tags
+            return met.compute_report([samples[i].intent for i in order], intents,
+                                      [list(samples[i].slot_tags) for i in order], tags)
+
+        order = list(range(len(samples)))
+        assert entry(model, samples, vocab, batch_size) == want(order)
+        assert entry(model, samples[::-1], vocab, batch_size) == want(order[::-1])
 
     def test_empty_sample_list_rejected(self, small_synth):
         _, vocab = small_synth
         with pytest.raises(ValueError, match="no samples to evaluate"):
             tr.evaluate_model(tiny_model(vocab), [], vocab)
+
+    def test_gold_labels_missing_from_the_vocabulary_count_as_wrong(self, small_synth):
+        corpus, vocab = small_synth
+        model = tiny_model(vocab)
+        samples = [dat.Sample(s.tokens, ["B-unseen"] + s.slot_tags[1:], "unseen")
+                   for s in corpus.dev]
+        intents, tags = tr.predict(model, [s.tokens for s in samples], vocab)
+        report = tr.evaluate_model(model, samples, vocab)
+        assert report == met.compute_report([s.intent for s in samples], intents,
+                                            [s.slot_tags for s in samples], tags)
+        assert report.intent_error_rate == 1.0 and report.sentence_accuracy == 0.0
+        assert report.matched_chunks < report.gold_chunks
+
+
+class TestUnlabelledBatch:
+    def test_logits_equal_those_of_the_labelled_batch(self, small_synth):
+        corpus, vocab = small_synth
+        model = tiny_model(vocab)
+        samples = corpus.dev
+        unlabelled = dat.pad_tokens([s.tokens for s in samples], vocab)
+        labelled = dat.pad_batch(samples, vocab)
+        assert (unlabelled.slot_ids == dat.PAD_SLOT_ID).all()
+        assert (unlabelled.intent_ids == dat.PAD_SLOT_ID).all()
+        a = model.forward(unlabelled, training=False)
+        b = model.forward(labelled, training=False)
+        assert np.array_equal(a.z_slot.values, b.z_slot.values)
+        assert np.array_equal(a.z_intent.values, b.z_intent.values)
+
+    def test_losses_reject_it(self, small_synth):
+        corpus, vocab = small_synth
+        batch = dat.pad_tokens([s.tokens for s in corpus.dev], vocab)
+        result = tiny_model(vocab).forward(batch, training=False)
+        with pytest.raises(IndexError):
+            tr.slot_loss(result.z_slot, batch.slot_ids, batch.mask)
+        with pytest.raises(IndexError):
+            tr.intent_loss(result.z_intent, batch.intent_ids)
 
 
 class TestTapeLifetime:
